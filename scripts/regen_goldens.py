@@ -1,8 +1,11 @@
 """Regenerate the golden CLI outputs under docs/golden/.
 
-Run from the repo root after an intentional schema change:
+Run from the repo root after an intentional output change:
 
-    python scripts/regen_goldens.py
+    PYTHONPATH=src python scripts/regen_goldens.py
+
+Every case in docs/golden/cases.json is rerun with its recorded argv and
+written to its recorded file; cases.json itself is the list to edit.
 """
 
 import json
@@ -12,50 +15,15 @@ from querybound.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "docs" / "golden"
 
-CASES = {
-    "vandam": {
-        "file": "vandam.csv",
-        "argv": ["vandam", "--n", "4", "--t", "2", "--x", "0101", "--exact"],
-    },
-    "vandam-json": {
-        "file": "vandam.json",
-        "argv": ["vandam", "--n", "4", "--t", "2", "--x", "0101", "--exact",
-                 "--format", "json"],
-    },
-    "norm": {
-        "file": "norm.csv",
-        "argv": ["norm", "--family", "constant_plus", "--n", "8", "--t", "3"],
-    },
-    "certify": {
-        "file": "certify.csv",
-        "argv": ["certify", "--family", "parity", "--n", "6", "--eps", "0.1"],
-    },
-    "moments": {
-        "file": "moments.csv",
-        "argv": ["moments", "--method", "exhaustive", "--n", "3", "--t", "2", "--k", "1"],
-    },
-    "claim1-sweep": {
-        "file": "claim1-sweep.csv",
-        "argv": ["claim1-sweep", "--ns", "6,8", "--trials", "5", "--seed", "1",
-                 "--include-family", "parity"],
-    },
-    "claim2-verify": {
-        "file": "claim2-verify.csv",
-        "argv": ["claim2-verify", "--n", "3", "--t", "1", "--parts", "1,2|3,4"],
-    },
-}
-
 
 def regen() -> None:
-    GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name, case in CASES.items():
+    cases = json.loads((GOLDEN / "cases.json").read_text())
+    for name, case in cases.items():
         target = GOLDEN / case["file"]
         code = main([*case["argv"], "--out", str(target)])
         if code != 0:
             raise SystemExit(f"{name}: exit code {code}")
         print(f"wrote {target}")
-    (GOLDEN / "cases.json").write_text(json.dumps(CASES, indent=2) + "\n")
-    print(f"wrote {GOLDEN / 'cases.json'}")
 
 
 if __name__ == "__main__":

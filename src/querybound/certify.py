@@ -69,9 +69,9 @@ def certify_lower_bound(
     guard = max(tol, residual); the returned lower_bound_t is the first
     non-refuted T.  Norm values are nondecreasing in T (nested principal
     submatrices), so nothing beyond the stopping point can be refuted.
-    Refutations obtained from power iteration leave status "empirical",
-    since that estimator can only undershoot the true norm; dense
-    eigendecompositions yield "certified".
+    Refutations obtained from matrix-free Lanczos leave status "empirical":
+    its Ritz value lies within the residual of some eigenvalue but can only
+    undershoot the true norm; dense eigendecompositions yield "certified".
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")

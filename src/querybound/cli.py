@@ -106,7 +106,7 @@ def cmd_vandam(args) -> tuple[list[str], list[dict], int]:
         "shots": None, "recovered_count": None, "recovered_frequency": None,
         "seed": None,
     }
-    if args.shots:
+    if args.shots is not None:  # 0 reaches simulate_sampled, which rejects it
         if args.seed is None:
             raise ValueError("--shots requires --seed")
         out = simulate_sampled(n, t, x, args.shots, args.seed)
@@ -415,10 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--dense", action="store_true", help="force the dense eigensolver")
-    p.add_argument("--matrix-free", action="store_true", help="force power iteration")
+    p.add_argument("--matrix-free", action="store_true", help="force matrix-free Lanczos")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0, help="power-iteration start vector seed")
+    p.add_argument("--seed", type=int, default=0, help="Lanczos start vector seed")
     _add_output_flags(p)
     p.set_defaults(fn=cmd_norm)
 

@@ -67,15 +67,17 @@ def expected_trace_moment_exhaustive(n: int, t: int, k: int) -> MomentReport:
     m = 1 << n
     idx = build_weight_index(n, t)
     b = idx.size
-    # Entries of A^(2k) are bounded by (b*m)^(2k); keep chunk sums inside int64.
-    if (b * m) ** (2 * k) > 2**56:
+    chunk = 1 << 12
+    # ||A|| <= m, so every partial sum inside the products and every diagonal
+    # entry of A^(2k) is at most m^(2k), and a chunk of traces sums to at
+    # most chunk * b * m^(2k).  Keep that inside int64.
+    if chunk * b * m ** (2 * k) >= 2**63:
         raise ValueError(f"k={k} overflows the exact integer path at n={n}, t={t}")
     grid = np.arange(m, dtype=np.int64)
     walsh = 1 - 2 * (np.bitwise_count(grid[:, None] & grid[None, :]) & 1).astype(np.int64)
     xor_table = idx.strings[:, None] ^ idx.strings[None, :]
     total = 0
     n_funcs = 1 << m
-    chunk = 1 << 12
     for start in range(0, n_funcs, chunk):
         fi = np.arange(start, min(start + chunk, n_funcs), dtype=np.int64)
         signs = 1 - 2 * ((fi[:, None] >> grid[None, :]) & 1)

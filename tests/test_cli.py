@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from querybound.boolfn import make_family, write_truth_table
+from querybound.boolfn import derive_seeds, make_family, sample_uniform, write_truth_table
 from querybound.cli import main, run_claim1_sweep
+from querybound.fourier_operator import build_dense
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "docs" / "golden"
 
@@ -242,3 +247,37 @@ def test_golden_outputs(tmp_path, name):
     golden = (GOLDEN_DIR / cases[name]["file"]).read_text()
     _, text = run_cli(tmp_path, argv, "fresh.txt")
     assert text == golden
+
+
+def test_claim1_golden_random_rows_match_dense_oracle():
+    # ties the pinned matrix-free norms to eigvalsh, not to a solver's output
+    case = json.loads((GOLDEN_DIR / "cases.json").read_text())["claim1-sweep"]
+    rows = [r for r in parse_csv((GOLDEN_DIR / case["file"]).read_text()) if r["kind"] == "random"]
+    ns = [int(r["n"]) for r in rows]
+    trials, seed = int(rows[0]["trials"]), int(rows[0]["seed"])
+    seeds = derive_seeds(seed, len(ns) * trials)
+    for i, row in enumerate(rows):
+        t = int(row["t"])
+        norms = [float(np.max(np.abs(np.linalg.eigvalsh(
+                     build_dense(sample_uniform(ns[i], s), t).dense_matrix))))
+                 for s in seeds[i * trials:(i + 1) * trials]]
+        assert float(row["median_norm"]) == pytest.approx(float(np.median(norms)), abs=1e-12)
+        assert float(row["max_norm"]) == pytest.approx(max(norms), abs=1e-12)
+
+
+def test_vandam_rejects_zero_shots(capsys):
+    code = main(["vandam", "--n", "4", "--t", "2", "--shots", "0", "--seed", "1"])
+    assert code == 1
+    assert "shots" in capsys.readouterr().err
+
+
+def test_claim1_sweep_bytes_independent_of_blas_threads():
+    argv = [sys.executable, "-m", "querybound.cli", "claim1-sweep", "--ns", "12,15",
+            "--trials", "1", "--seed", "20260814"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    outputs = [subprocess.run(argv, env=env, capture_output=True, check=True, timeout=600).stdout
+               for env in (base | {"OPENBLAS_NUM_THREADS": "1"}, base)]
+    assert outputs[0].startswith(b"schema_version") and outputs[0] == outputs[1]

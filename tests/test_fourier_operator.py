@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from querybound.boolfn import make_family, sample_uniform
+from querybound.boolfn import derive_seeds, make_family, sample_uniform
 from querybound.fourier_operator import (
     DENSE_LIMIT,
     build_dense,
@@ -162,3 +162,29 @@ def test_spectral_norm_rejects_bad_tol():
 def test_dense_limit_is_what_build_checks():
     # guard value used by certify and the CLI auto mode
     assert DENSE_LIMIT == 4096
+
+
+def test_lanczos_matches_dense_where_power_iteration_stopped_short():
+    # power iteration reported converged at tol 1e-8 while 3.0e-6 below this norm
+    seed = derive_seeds(99, 6)[3]
+    f = sample_uniform(14, seed)
+    est = spectral_norm(build_matrix_free(f, 5), seed=seed)
+    exact = spectral_norm(build_dense(f, 5)).value
+    assert est.method == "lanczos" and est.converged
+    assert abs(est.value - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+def test_lanczos_converged_implies_residual_within_tol(n):
+    for trial in range(4):
+        f = sample_uniform(n, 8000 + 10 * n + trial)
+        for t in range(1, n + 1):
+            for tol in (1e-6, 1e-8, 1e-12):
+                est = spectral_norm(build_matrix_free(f, t), tol=tol, seed=trial)
+                assert est.residual <= tol if est.converged else est.residual > tol
+                assert est.iterations >= 1
+
+
+def test_spectral_norm_rejects_bad_max_iter():
+    with pytest.raises(ValueError):
+        spectral_norm(build_matrix_free(sample_uniform(5, 0), 2), max_iter=0)

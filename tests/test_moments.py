@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from querybound.boolfn import BooleanFunction, make_family, sample_uniform
+from querybound.cli import main
 from querybound.fourier_operator import build_dense, spectral_norm
 from querybound.moments import (
     PartitionSpec,
@@ -15,7 +18,7 @@ from querybound.moments import (
     expected_trace_moment_mc,
     trace_moment,
 )
-from querybound.transforms import binomial_sum
+from querybound.transforms import binomial_sum, build_weight_index
 
 
 def test_trace_full_truncation_is_dimension():
@@ -221,3 +224,32 @@ def test_evenness_check_rejects_bad_args():
         evenness_check(3, 7, trials=2, seed=0)
     with pytest.raises(ValueError):
         evenness_check(5, 2, trials=2, seed=0)
+
+
+def test_exhaustive_high_k_against_batched_eigvalsh(tmp_path):
+    # ||A|| <= 2^n keeps these inside int64; the oracle averages float64
+    # eigenvalue powers over all 65536 sign tables of n = 4
+    n, t = 4, 3
+    m = 1 << n
+    grid = np.arange(m)
+    walsh = 1.0 - 2.0 * (np.bitwise_count(grid[:, None] & grid[None, :]) & 1)
+    strings = build_weight_index(n, t).strings
+    xor_table = strings[:, None] ^ strings[None, :]
+    sums = {4: 0.0, 5: 0.0}
+    for start in range(0, 1 << m, 1 << 12):
+        codes = np.arange(start, start + (1 << 12))
+        signs = 1.0 - 2.0 * ((codes[:, None] >> grid[None, :]) & 1)
+        eigs = np.linalg.eigvalsh((signs @ walsh / m)[:, xor_table])
+        for k in sums:
+            sums[k] += float(np.sum(eigs ** (2 * k)))
+    for k, total in sums.items():
+        out = tmp_path / f"k{k}.csv"
+        argv = ["moments", "--method", "exhaustive", "--n", "4", "--t", "3", "--k", str(k)]
+        assert main([*argv, "--out", str(out)]) == 0
+        value = float(next(csv.DictReader(io.StringIO(out.read_text())))["value"])
+        assert value == pytest.approx(total / (1 << m), rel=1e-12)
+
+
+def test_exhaustive_rejects_int64_overflow():
+    with pytest.raises(ValueError, match="overflows"):
+        expected_trace_moment_exhaustive(4, 4, 6)
