@@ -25,6 +25,7 @@ from .fourier_operator import (
     TruncatedFourierOperator,
     build_dense,
     build_matrix_free,
+    build_operator,
     spectral_norm,
 )
 from .interrogation import (

@@ -6,6 +6,7 @@ transforms.py.  Fourier coefficients follow fhat(s) = 2^(-n) sum_x (-1)^(s.x) f(
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,6 +88,19 @@ def derive_seeds(seed: int, count: int) -> list[int]:
     """
     children = np.random.SeedSequence(seed).spawn(count)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
+
+
+def map_trials(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], spread over a pool of `threads` threads when threads > 1.
+
+    Results keep the order of items, so they do not depend on the thread count.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def fourier(f: BooleanFunction) -> FourierSpectrum:

@@ -10,11 +10,17 @@ T + 1 queries become a certified lower bound.
 from __future__ import annotations
 
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .boolfn import BooleanFunction, canonical_sign, derive_seeds, make_family, sample_uniform
-from .fourier_operator import DENSE_LIMIT, build_dense, build_matrix_free, spectral_norm
+from .boolfn import (
+    BooleanFunction,
+    canonical_sign,
+    derive_seeds,
+    make_family,
+    map_trials,
+    sample_uniform,
+)
+from .fourier_operator import build_operator, spectral_norm
 from .interrogation import choose_t
 from .transforms import binary_entropy, binomial_sum
 
@@ -59,9 +65,7 @@ def certify_lower_bound(
     eps: float,
     tol: float = 1e-8,
     max_iter: int = 10000,
-    dense_limit: int = DENSE_LIMIT,
     descriptor: str = "",
-    pi_seed: int = 0,
 ) -> CertifiedBound:
     """Scan T = 0, 1, ... and refute every T whose norm clears the guard band.
 
@@ -69,6 +73,8 @@ def certify_lower_bound(
     guard = max(tol, residual); the returned lower_bound_t is the first
     non-refuted T.  Norm values are nondecreasing in T (nested principal
     submatrices), so nothing beyond the stopping point can be refuted.
+    Each truncation's operator comes from build_operator, which goes dense
+    while B is small enough to materialize.
     Refutations obtained from matrix-free Lanczos leave status "empirical":
     its Ritz value lies within the residual of some eigenvalue but can only
     undershoot the true norm; dense eigendecompositions yield "certified".
@@ -80,9 +86,7 @@ def certify_lower_bound(
     evidence: list[EvidenceEntry] = []
     lower = g.n + 1  # unreachable: T = n always has norm 1
     for t in range(g.n + 1):
-        b = binomial_sum(g.n, t)
-        op = build_dense(g, t) if b <= dense_limit else build_matrix_free(g, t)
-        est = spectral_norm(op, tol=tol, max_iter=max_iter, seed=pi_seed)
+        est = spectral_norm(build_operator(g, t), tol=tol, max_iter=max_iter)
         guard = max(tol, est.residual)
         refuted = est.converged and (est.value + guard < threshold)
         evidence.append(
@@ -114,7 +118,6 @@ def certify_random_sweep(
     seed: int,
     tol: float = 1e-8,
     max_iter: int = 10000,
-    dense_limit: int = DENSE_LIMIT,
     include_family: str | None = None,
     threads: int = 1,
 ) -> tuple[list[CertifiedBound], dict]:
@@ -129,14 +132,9 @@ def certify_random_sweep(
 
     def one(job: tuple[BooleanFunction, str]) -> CertifiedBound:
         f, desc = job
-        return certify_lower_bound(f, eps, tol=tol, max_iter=max_iter,
-                                    dense_limit=dense_limit, descriptor=desc)
+        return certify_lower_bound(f, eps, tol=tol, max_iter=max_iter, descriptor=desc)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            bounds = list(pool.map(one, jobs))
-    else:
-        bounds = [one(j) for j in jobs]
+    bounds = map_trials(one, jobs, threads)
 
     lbs = [b.lower_bound_t for b in bounds]
     summary = {

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .boolfn import BooleanFunction, fourier
-from .transforms import WeightIndex, build_weight_index, fwht_in_place
+from .transforms import WeightIndex, binomial_sum, build_weight_index, fwht_in_place
 
 # B x B doubles at 4096 is 128 MiB; larger truncations must go matrix-free.
 DENSE_LIMIT = 4096
@@ -37,8 +37,11 @@ class TruncatedFourierOperator:
     f: BooleanFunction
     t: int
     index: WeightIndex
-    mode: str  # "dense" | "matrix_free"
     dense_matrix: np.ndarray | None = None
+
+    @property
+    def mode(self) -> str:
+        return "matrix_free" if self.dense_matrix is None else "dense"
 
     @property
     def size(self) -> int:
@@ -48,8 +51,7 @@ class TruncatedFourierOperator:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.size,):
             raise ValueError(f"vector must have length {self.size}, got shape {v.shape}")
-        if self.mode == "dense":
-            assert self.dense_matrix is not None
+        if self.dense_matrix is not None:
             return self.dense_matrix @ v
         # Scatter to the full cube, conjugate by the transform, gather back.
         # Fresh scratch per call keeps concurrent applies on one operator safe.
@@ -74,25 +76,27 @@ class NormEstimate:
 
 def build_dense(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
     """Materialize the B x B matrix fhat(s XOR t) over weight-<= t strings."""
+    b = binomial_sum(f.n, t)
+    if b > DENSE_LIMIT:
+        raise ValueError(f"B={b} exceeds the dense budget {DENSE_LIMIT}; use build_matrix_free")
     index = build_weight_index(f.n, t)
-    if index.size > DENSE_LIMIT:
-        raise ValueError(
-            f"B={index.size} exceeds the dense budget {DENSE_LIMIT}; use build_matrix_free"
-        )
     coeffs = fourier(f).coeffs
     xor_table = index.strings[:, None] ^ index.strings[None, :]
     dense = coeffs[xor_table]
     dense.flags.writeable = False
-    return TruncatedFourierOperator(f=f, t=t, index=index, mode="dense", dense_matrix=dense)
+    return TruncatedFourierOperator(f=f, t=t, index=index, dense_matrix=dense)
 
 
 def build_matrix_free(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
     index = build_weight_index(f.n, t)
-    return TruncatedFourierOperator(f=f, t=t, index=index, mode="matrix_free")
+    return TruncatedFourierOperator(f=f, t=t, index=index)
 
 
-def apply(op: TruncatedFourierOperator, v: np.ndarray) -> np.ndarray:
-    return op.apply(v)
+def build_operator(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
+    """Dense when B = binomial_sum(n, t) fits DENSE_LIMIT, matrix-free otherwise."""
+    if binomial_sum(f.n, t) <= DENSE_LIMIT:
+        return build_dense(f, t)
+    return build_matrix_free(f, t)
 
 
 def spectral_norm(
@@ -118,8 +122,7 @@ def spectral_norm(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if op.mode == "dense":
-        assert op.dense_matrix is not None
+    if op.dense_matrix is not None:
         eigs = np.linalg.eigvalsh(op.dense_matrix)
         value = float(np.max(np.abs(eigs)))
         return NormEstimate(value=value, method="dense_eigen", residual=0.0, iterations=0, converged=True)

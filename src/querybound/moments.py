@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import BooleanFunction, derive_seeds, sample_uniform
+from .boolfn import BooleanFunction, derive_seeds, map_trials, sample_uniform
 from .fourier_operator import build_dense
 from .transforms import build_weight_index, binomial_sum
 
@@ -106,11 +105,7 @@ def expected_trace_moment_mc(
     def one(s: int) -> float:
         return trace_moment(sample_uniform(n, s), t, k).value
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = np.array(list(pool.map(one, seeds)))
-    else:
-        vals = np.array([one(s) for s in seeds])
+    vals = np.array(map_trials(one, seeds, threads))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(trials))
     return MomentReport(n=n, t=t, k=k, value=mean, stderr=stderr, method="monte_carlo",

@@ -91,14 +91,12 @@ def binary_entropy(q: float) -> float:
 class WeightIndex:
     """All n-bit strings of Hamming weight <= t, in (weight, value) order.
 
-    strings[j] is the j-th string; rank[s] inverts the map (-1 marks strings
-    of weight > t).  B = len(strings) = binomial_sum(n, t).
+    strings[j] is the j-th string, and B = len(strings) = binomial_sum(n, t).
     """
 
     n: int
     t: int
     strings: np.ndarray
-    rank: np.ndarray
 
     @property
     def size(self) -> int:
@@ -115,11 +113,8 @@ def build_weight_index(n: int, t: int) -> WeightIndex:
     kept = vals[weights <= t]
     order = np.argsort(weights[kept], kind="stable")  # stable keeps value order within a weight
     strings = kept[order]
-    rank = np.full(1 << n, -1, dtype=np.int64)
-    rank[strings] = np.arange(strings.shape[0], dtype=np.int64)
     strings.flags.writeable = False
-    rank.flags.writeable = False
-    return WeightIndex(n=n, t=t, strings=strings, rank=rank)
+    return WeightIndex(n=n, t=t, strings=strings)
 
 
 def parse_bitstring(text: str) -> int:

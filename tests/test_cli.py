@@ -229,6 +229,30 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+def test_norm_mode_flags_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "--family", "parity", "--n", "6", "--t", "3", "--dense", "--matrix-free"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["claim1-sweep", "--ns", "6", "--trials", "2", "--seed", "1"],
+        ["certify", "--n", "6", "--eps", "0.1", "--trials", "2", "--seed", "1"],
+        ["moments", "--method", "mc", "--n", "6", "--t", "2", "--trials", "4", "--seed", "1"],
+    ],
+    ids=["claim1-sweep", "certify", "moments"],
+)
+def test_threads_below_one_rejected(argv, threads, capsys):
+    assert main([*argv, "--threads", threads]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: threads must be >= 1, got {threads}" in captured.err
+
+
 def test_stdout_output(capsys):
     code = main(["vandam", "--n", "2", "--t", "2", "--exact"])
     assert code == 0

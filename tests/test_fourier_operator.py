@@ -6,6 +6,7 @@ from querybound.fourier_operator import (
     DENSE_LIMIT,
     build_dense,
     build_matrix_free,
+    build_operator,
     spectral_norm,
 )
 from querybound.transforms import build_weight_index
@@ -160,8 +161,12 @@ def test_spectral_norm_rejects_bad_tol():
 
 
 def test_dense_limit_is_what_build_checks():
-    # guard value used by certify and the CLI auto mode
+    # budget build_dense enforces and build_operator's size rule uses
     assert DENSE_LIMIT == 4096
+    # build_operator switches to matrix-free just past the limit
+    f = sample_uniform(13, 0)
+    assert build_operator(f, 6).mode == "dense"  # B = 4096
+    assert build_operator(f, 7).mode == "matrix_free"  # B = 5812
 
 
 def test_lanczos_matches_dense_where_power_iteration_stopped_short():
