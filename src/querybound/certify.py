@@ -124,14 +124,17 @@ def certify_random_sweep(
     """Certify `trials` uniformly random functions, plus an optional named family as trial 0."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    jobs: list[tuple[BooleanFunction, str]] = []
+    if threads < 1:  # refuse before any sign table exists
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    jobs: list[tuple[BooleanFunction | int, str]] = []
     if include_family is not None:
         jobs.append((make_family(include_family, n), include_family))
-    for s in derive_seeds(seed, trials):
-        jobs.append((sample_uniform(n, s), f"random:seed={s}"))
+    jobs += [(s, f"random:seed={s}") for s in derive_seeds(seed, trials)]
 
-    def one(job: tuple[BooleanFunction, str]) -> CertifiedBound:
+    def one(job: tuple[BooleanFunction | int, str]) -> CertifiedBound:
         f, desc = job
+        if not isinstance(f, BooleanFunction):
+            f = sample_uniform(n, f)  # sampled per trial: one table per running thread
         return certify_lower_bound(f, eps, tol=tol, max_iter=max_iter, descriptor=desc)
 
     bounds = map_trials(one, jobs, threads)

@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int)
     p.add_argument("--eps", type=float, help="pick T = choose_t(n, eps)")
     p.add_argument("--x", help="hidden input as a bitstring, default all zeros")
-    p.add_argument("--exact", action="store_true", help="exact probability only (default)")
+    p.add_argument("--exact", action="store_true", help="accepted for compatibility; has no effect")
     p.add_argument("--shots", type=int, help="also sample this many measurements")
     p.add_argument("--seed", type=int)
     _add_output_flags(p)

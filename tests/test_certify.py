@@ -103,6 +103,18 @@ def test_sweep_injects_family_as_trial_zero():
     assert summary["trials"] == 3
 
 
+def test_sweep_rejects_zero_threads_before_sampling(monkeypatch):
+    import querybound.certify as certify
+
+    def no_tables(*args):
+        raise AssertionError("a sign table was built before threads was checked")
+
+    monkeypatch.setattr(certify, "sample_uniform", no_tables)
+    monkeypatch.setattr(certify, "make_family", no_tables)
+    with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+        certify_random_sweep(16, 0.1, trials=4, seed=1, include_family="parity", threads=0)
+
+
 def test_sweep_threads_match_serial():
     serial, _ = certify_random_sweep(6, 0.1, trials=4, seed=8, threads=1)
     threaded, _ = certify_random_sweep(6, 0.1, trials=4, seed=8, threads=3)

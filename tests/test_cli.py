@@ -295,13 +295,26 @@ def test_vandam_rejects_zero_shots(capsys):
     assert "shots" in capsys.readouterr().err
 
 
-def test_claim1_sweep_bytes_independent_of_blas_threads():
-    argv = [sys.executable, "-m", "querybound.cli", "claim1-sweep", "--ns", "12,15",
-            "--trials", "1", "--seed", "20260814"]
+def _stdout_one_blas_thread_and_default(cli_args):
+    """CLI stdout with OPENBLAS_NUM_THREADS=1, then with every thread variable unset."""
+    argv = [sys.executable, "-m", "querybound.cli", *cli_args]
     src = str(Path(__file__).resolve().parent.parent / "src")
     base = {k: v for k, v in os.environ.items()
             if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
-    outputs = [subprocess.run(argv, env=env, capture_output=True, check=True, timeout=600).stdout
-               for env in (base | {"OPENBLAS_NUM_THREADS": "1"}, base)]
+    return [subprocess.run(argv, env=env, capture_output=True, check=True, timeout=600).stdout
+            for env in (base | {"OPENBLAS_NUM_THREADS": "1"}, base)]
+
+
+def test_claim1_sweep_bytes_independent_of_blas_threads():
+    outputs = _stdout_one_blas_thread_and_default(
+        ["claim1-sweep", "--ns", "12,15", "--trials", "1", "--seed", "20260814"])
+    assert outputs[0].startswith(b"schema_version") and outputs[0] == outputs[1]
+
+
+def test_vandam_n20_bytes_independent_of_blas_threads():
+    # n = 20 runs the transform as four 5-bit factors, the middle ones batched.
+    outputs = _stdout_one_blas_thread_and_default(
+        ["vandam", "--n", "20", "--eps", "0.1", "--x", "01101001110010110100",
+         "--shots", "1000", "--seed", "1"])
     assert outputs[0].startswith(b"schema_version") and outputs[0] == outputs[1]

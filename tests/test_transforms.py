@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from querybound.boolfn import fourier, sample_uniform
 from querybound.transforms import (
     binary_entropy,
     binomial_sum,
@@ -37,6 +38,42 @@ def test_fwht_matches_direct_summation(n):
     expect = direct_walsh(v)
     got = fwht_in_place(v.copy())
     assert np.max(np.abs(got - expect)) < 1e-10
+
+
+def butterfly_walsh(v):
+    """Textbook radix-2 butterflies, one stage per bit; exact for int64 input."""
+    v = v.copy()
+    h = 1
+    while h < v.shape[0]:
+        w = v.reshape(-1, 2, h)
+        w[:] = np.stack((w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]), axis=1)
+        h *= 2
+    return v
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("n", [9, 12, 13, 18, 19, 20])
+def test_fwht_matches_butterfly_reference(n, dtype):
+    # 2 to 4 Kronecker factors.  Each output is a +-1 sum of 2^n inputs, and
+    # random-sign rounding in either order grows like n * eps * ||v||_2; the
+    # factor 16 is headroom over that, far below the error of any wrong sign.
+    rng = np.random.default_rng(200 + n)
+    v = rng.standard_normal(1 << n)
+    if dtype is np.complex128:
+        v = v + 1j * rng.standard_normal(1 << n)
+    got = fwht_in_place(v.copy())
+    assert got.dtype == dtype
+    tol = 16 * n * np.finfo(np.float64).eps * float(np.linalg.norm(v))
+    assert np.max(np.abs(got - butterfly_walsh(v))) <= tol
+
+
+@pytest.mark.parametrize("n", [13, 16, 19])
+def test_fourier_of_sign_table_is_exact(n):
+    # Parity certificates and the zero-operator shortcut need fhat * 2^n to be
+    # the exact integer sum, with no rounding in any factor.
+    f = sample_uniform(n, 31 + n)
+    expect = butterfly_walsh(f.signs.astype(np.int64))
+    assert np.array_equal(fourier(f).coeffs * float(1 << n), expect)
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, 10, 16, 20])
