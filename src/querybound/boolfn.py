@@ -6,6 +6,7 @@ transforms.py.  Fourier coefficients follow fhat(s) = 2^(-n) sum_x (-1)^(s.x) f(
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,16 +92,53 @@ def derive_seeds(seed: int, count: int) -> list[int]:
 
 
 def map_trials(fn, items, threads: int) -> list:
-    """[fn(x) for x in items], spread over a pool of `threads` threads when threads > 1.
+    """[fn(x) for x in items], spread over a pool of min(threads, len(items)) threads.
 
-    Results keep the order of items, so they do not depend on the thread count.
+    Results keep the order of items.  While a pool of two or more threads
+    runs, numpy's OpenBLAS runs on one thread, so pool and BLAS threads do
+    not oversubscribe the cores and every trial's BLAS digits are those of a
+    serial run under OPENBLAS_NUM_THREADS=1, whatever the thread variables
+    say.  The previous count is restored afterwards, also when fn raises.
+    The serial path never touches BLAS, and neither does a numpy built on
+    another BLAS.  The count is process-wide, so pools must not be started
+    from two threads at once.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads == 1:
+    workers = min(threads, len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    blas = _openblas_threads()
+    if blas is not None:
+        get_threads, set_threads = blas
+        saved = get_threads()
+        set_threads(1)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        if blas is not None:
+            set_threads(saved)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) for the thread count of numpy's OpenBLAS, or None when it has none.
+
+    dlsym on numpy's own extension module also searches the libraries it
+    links, so this finds whichever OpenBLAS build numpy loaded.
+    """
+    import ctypes  # only a pool needs it
+
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    for prefix, suffix in (("openblas", ""), ("openblas", "64_"),
+                           ("scipy_openblas", "64_"), ("scipy_openblas", "")):
+        try:
+            return (getattr(lib, f"{prefix}_get_num_threads{suffix}"),
+                    getattr(lib, f"{prefix}_set_num_threads{suffix}"))
+        except AttributeError:
+            continue
+    return None
 
 
 def fourier(f: BooleanFunction) -> FourierSpectrum:

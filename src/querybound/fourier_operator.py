@@ -107,7 +107,10 @@ def spectral_norm(
 ) -> NormEstimate:
     """Largest |eigenvalue| of the (symmetric) operator.
 
-    Dense mode uses a full symmetric eigendecomposition.  Matrix-free mode
+    An operator whose entries fhat(s XOR t) are all zero returns 0.0 at once
+    in either mode, with the method name of that mode and 0 iterations.  The
+    test is exact, because the Walsh transform of a +-1 table is.  Otherwise
+    dense mode uses a full symmetric eigendecomposition, and matrix-free mode
     runs Lanczos on the operator itself in two passes that keep no Krylov
     basis, so memory stays O(B).  The first pass runs the three-term
     recurrence from a seeded start vector, keeps only the tridiagonal
@@ -122,12 +125,13 @@ def spectral_norm(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if _is_zero_operator(op):
+        method = "lanczos" if op.dense_matrix is None else "dense_eigen"
+        return NormEstimate(value=0.0, method=method, residual=0.0, iterations=0, converged=True)
     if op.dense_matrix is not None:
         eigs = np.linalg.eigvalsh(op.dense_matrix)
         value = float(np.max(np.abs(eigs)))
         return NormEstimate(value=value, method="dense_eigen", residual=0.0, iterations=0, converged=True)
-    if _is_zero_operator(op):
-        return NormEstimate(value=0.0, method="lanczos", residual=0.0, iterations=0, converged=True)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     start = rng.standard_normal(op.size)
@@ -190,8 +194,11 @@ def _is_zero_operator(op: TruncatedFourierOperator) -> bool:
     """True when every entry fhat(s XOR t) is zero, i.e. fhat vanishes up to weight 2T.
 
     The Walsh transform of a +-1 table sums integers and divides by a power
-    of two, so it is exact in float64 and so is this test.
+    of two, so it is exact in float64 and so is this test.  A dense operator
+    holds those entries already, so it is scanned directly.
     """
+    if op.dense_matrix is not None:
+        return not op.dense_matrix.any()
     coeffs = fourier(op.f).coeffs
     weights = np.bitwise_count(np.arange(coeffs.shape[0], dtype=np.int64))
     return not np.any(coeffs[weights <= 2 * op.t])

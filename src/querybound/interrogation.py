@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transforms import binomial_sum, build_weight_index, fwht_in_place
+from .transforms import binomial_sum, fwht_in_place
 
 # 2^24 doubles is a 128 MiB state vector; past that the simulation is not useful here.
 _MAX_SIM_BITS = 24
@@ -43,11 +43,14 @@ def _final_state(n: int, t: int, x: int) -> np.ndarray:
         raise ValueError(f"need 0 <= t <= n, got t={t}")
     if x < 0 or x >= (1 << n):
         raise ValueError(f"target {x} does not fit in {n} bits")
-    idx = build_weight_index(n, t)
+    # One table of all 2^n strings serves both the weight mask and the oracle.
+    cube = np.arange(1 << n, dtype=np.int64)
     state = np.zeros(1 << n)
-    state[idx.strings] = 1.0 / math.sqrt(idx.size)
+    state[np.bitwise_count(cube) <= t] = 1.0 / math.sqrt(binomial_sum(n, t))
     # Phase oracle, applied as one pointwise multiplication; costs T queries.
-    parity = np.bitwise_count(np.arange(1 << n, dtype=np.int64) & x) & 1
+    cube &= x
+    parity = np.bitwise_count(cube) & 1
+    del cube  # 8 * 2^n bytes, freed before the float temporaries
     state *= 1.0 - 2.0 * parity
     fwht_in_place(state)
     state /= math.sqrt(1 << n)  # unnormalized transform -> unitary Hadamard

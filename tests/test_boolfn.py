@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from querybound import boolfn
 from querybound.boolfn import (
     BooleanFunction,
     canonical_sign,
     derive_seeds,
     fourier,
     make_family,
+    map_trials,
     read_truth_table,
     sample_uniform,
     write_truth_table,
@@ -137,3 +139,37 @@ def test_truth_table_rejects_malformed(tmp_path):
     p.write_text("n=zz\n++\n")
     with pytest.raises(ValueError):
         read_truth_table(p)
+
+
+@pytest.fixture
+def blas_threads_at_two():
+    """get_num_threads of numpy's OpenBLAS, with the count set to 2 for the test."""
+    blas = boolfn._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    get, set_threads = blas
+    saved = get()
+    set_threads(2)
+    yield get
+    set_threads(saved)
+
+
+def test_map_trials_pool_runs_blas_on_one_thread_and_restores(blas_threads_at_two):
+    get = blas_threads_at_two
+    assert map_trials(lambda _: get(), [0, 1, 2], 2) == [1, 1, 1]
+    assert get() == 2
+
+
+def test_map_trials_restores_blas_threads_when_fn_raises(blas_threads_at_two):
+    def fail(_):
+        raise RuntimeError("trial failed")
+
+    with pytest.raises(RuntimeError, match="trial failed"):
+        map_trials(fail, [0, 1], 2)
+    assert blas_threads_at_two() == 2
+
+
+@pytest.mark.parametrize("threads, items", [(1, [3, 4, 5]), (4, [3])])
+def test_map_trials_serial_paths_never_touch_blas(monkeypatch, threads, items):
+    monkeypatch.setattr(boolfn, "_openblas_threads", lambda: pytest.fail("BLAS touched"))
+    assert map_trials(lambda x: 2 * x, items, threads) == [2 * x for x in items]

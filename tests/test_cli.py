@@ -14,6 +14,7 @@ from querybound.cli import main, run_claim1_sweep
 from querybound.fourier_operator import build_dense
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "docs" / "golden"
+GOLDEN_CASES = json.loads((GOLDEN_DIR / "cases.json").read_text())
 
 
 def run_cli(tmp_path, argv, name="out.txt"):
@@ -261,21 +262,16 @@ def test_stdout_output(capsys):
     assert "1\n" in out or out.endswith("\n")
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["vandam", "norm", "certify", "moments", "claim1-sweep", "claim2-verify", "vandam-json"],
-)
+@pytest.mark.parametrize("name", list(GOLDEN_CASES))
 def test_golden_outputs(tmp_path, name):
-    cases = json.loads((GOLDEN_DIR / "cases.json").read_text())
-    argv = cases[name]["argv"]
-    golden = (GOLDEN_DIR / cases[name]["file"]).read_text()
-    _, text = run_cli(tmp_path, argv, "fresh.txt")
+    golden = (GOLDEN_DIR / GOLDEN_CASES[name]["file"]).read_text()
+    _, text = run_cli(tmp_path, GOLDEN_CASES[name]["argv"], "fresh.txt")
     assert text == golden
 
 
 def test_claim1_golden_random_rows_match_dense_oracle():
     # ties the pinned matrix-free norms to eigvalsh, not to a solver's output
-    case = json.loads((GOLDEN_DIR / "cases.json").read_text())["claim1-sweep"]
+    case = GOLDEN_CASES["claim1-sweep"]
     rows = [r for r in parse_csv((GOLDEN_DIR / case["file"]).read_text()) if r["kind"] == "random"]
     ns = [int(r["n"]) for r in rows]
     trials, seed = int(rows[0]["trials"]), int(rows[0]["seed"])
@@ -318,3 +314,14 @@ def test_vandam_n20_bytes_independent_of_blas_threads():
         ["vandam", "--n", "20", "--eps", "0.1", "--x", "01101001110010110100",
          "--shots", "1000", "--seed", "1"])
     assert outputs[0].startswith(b"schema_version") and outputs[0] == outputs[1]
+
+
+def test_pooled_certify_bytes_independent_of_blas_threads_and_equal_serial():
+    # a pool runs each trial's BLAS on one thread: the dense eigvalsh digits
+    # are those of a serial run under OPENBLAS_NUM_THREADS=1
+    argv = ["certify", "--n", "16", "--eps", "0.15", "--trials", "2", "--seed", "3",
+            "--include-family", "parity"]
+    pooled = _stdout_one_blas_thread_and_default([*argv, "--threads", "2"])
+    serial = _stdout_one_blas_thread_and_default([*argv, "--threads", "1"])
+    assert pooled[0].startswith(b"schema_version") and pooled[0] == pooled[1]
+    assert pooled[0] == serial[0]

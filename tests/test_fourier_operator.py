@@ -4,6 +4,7 @@ import pytest
 from querybound.boolfn import derive_seeds, make_family, sample_uniform
 from querybound.fourier_operator import (
     DENSE_LIMIT,
+    NormEstimate,
     build_dense,
     build_matrix_free,
     build_operator,
@@ -193,3 +194,13 @@ def test_lanczos_converged_implies_residual_within_tol(n):
 def test_spectral_norm_rejects_bad_max_iter():
     with pytest.raises(ValueError):
         spectral_norm(build_matrix_free(sample_uniform(5, 0), 2), max_iter=0)
+
+
+def test_dense_zero_operator_skips_eigensolver_with_same_estimate():
+    # parity at n = 16, T = 4: B = 2517, every fhat(s) with |s| <= 8 is zero
+    op = build_dense(make_family("parity", 16), 4)
+    eigs = np.linalg.eigvalsh(op.dense_matrix)
+    oracle = NormEstimate(value=float(np.max(np.abs(eigs))), method="dense_eigen",
+                          residual=0.0, iterations=0, converged=True)
+    assert spectral_norm(op) == oracle
+    assert spectral_norm(build_dense(make_family("parity", 6), 2)) == oracle

@@ -11,6 +11,7 @@ from querybound.interrogation import (
     success_probability_closed_form,
     _final_state,
 )
+from querybound.transforms import build_weight_index, fwht_in_place
 
 
 def test_pinned_probabilities():
@@ -115,3 +116,21 @@ def test_sampled_frequency_near_exact():
 def test_sampled_rejects_zero_shots():
     with pytest.raises(ValueError):
         simulate_sampled(4, 2, 0, shots=0, seed=1)
+
+
+def _index_scatter_state(n, t, x):
+    """The state built by scattering 1/sqrt(B) over the sorted weight index."""
+    idx = build_weight_index(n, t)
+    state = np.zeros(1 << n)
+    state[idx.strings] = 1.0 / math.sqrt(idx.size)
+    state *= 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n, dtype=np.int64) & x) & 1)
+    fwht_in_place(state)
+    state /= math.sqrt(1 << n)
+    return state
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_final_state_equals_index_scatter(n):
+    for t in range(n + 1):
+        for x in {0, 1, (1 << n) - 1, 0x5A5 % (1 << n)}:
+            assert np.array_equal(_final_state(n, t, x), _index_scatter_state(n, t, x))
