@@ -94,19 +94,19 @@ def derive_seeds(seed: int, count: int) -> list[int]:
 def map_trials(fn, items, threads: int) -> list:
     """[fn(x) for x in items], spread over a pool of min(threads, len(items)) threads.
 
-    Results keep the order of items.  While a pool of two or more threads
-    runs, numpy's OpenBLAS runs on one thread, so pool and BLAS threads do
-    not oversubscribe the cores and every trial's BLAS digits are those of a
-    serial run under OPENBLAS_NUM_THREADS=1, whatever the thread variables
-    say.  The previous count is restored afterwards, also when fn raises.
-    The serial path never touches BLAS, and neither does a numpy built on
-    another BLAS.  The count is process-wide, so pools must not be started
-    from two threads at once.
+    Results keep the order of items.  With threads > 1, numpy's OpenBLAS
+    runs on one thread while the pool runs, whatever the number of items, so
+    pool and BLAS threads do not oversubscribe the cores and every trial's
+    BLAS digits are those of a serial run under OPENBLAS_NUM_THREADS=1,
+    whatever the thread variables say; a trial's output thus does not change
+    when more items join it.  The previous count is restored afterwards,
+    also when fn raises.  threads == 1 never touches BLAS, and neither does
+    a numpy built on another BLAS.  The count is process-wide, so pools must
+    not be started from two threads at once.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    workers = min(threads, len(items))
-    if workers <= 1:
+    if threads == 1 or not items:
         return [fn(x) for x in items]
     blas = _openblas_threads()
     if blas is not None:
@@ -114,7 +114,7 @@ def map_trials(fn, items, threads: int) -> list:
         saved = get_threads()
         set_threads(1)
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
             return list(pool.map(fn, items))
     finally:
         if blas is not None:

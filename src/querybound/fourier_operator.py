@@ -194,11 +194,8 @@ def _is_zero_operator(op: TruncatedFourierOperator) -> bool:
     """True when every entry fhat(s XOR t) is zero, i.e. fhat vanishes up to weight 2T.
 
     The Walsh transform of a +-1 table sums integers and divides by a power
-    of two, so it is exact in float64 and so is this test.  A dense operator
-    holds those entries already, so it is scanned directly.
+    of two, so it is exact in float64 and so is this test.
     """
-    if op.dense_matrix is not None:
-        return not op.dense_matrix.any()
     coeffs = fourier(op.f).coeffs
     weights = np.bitwise_count(np.arange(coeffs.shape[0], dtype=np.int64))
     return not np.any(coeffs[weights <= 2 * op.t])

@@ -291,15 +291,21 @@ def test_vandam_rejects_zero_shots(capsys):
     assert "shots" in capsys.readouterr().err
 
 
-def _stdout_one_blas_thread_and_default(cli_args):
-    """CLI stdout with OPENBLAS_NUM_THREADS=1, then with every thread variable unset."""
+def _stdout(cli_args, openblas_threads=None):
+    """CLI stdout with every thread variable unset, or with only OPENBLAS_NUM_THREADS set."""
     argv = [sys.executable, "-m", "querybound.cli", *cli_args]
     src = str(Path(__file__).resolve().parent.parent / "src")
-    base = {k: v for k, v in os.environ.items()
-            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
-    return [subprocess.run(argv, env=env, capture_output=True, check=True, timeout=600).stdout
-            for env in (base | {"OPENBLAS_NUM_THREADS": "1"}, base)]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(openblas_threads)
+    return subprocess.run(argv, env=env, capture_output=True, check=True, timeout=600).stdout
+
+
+def _stdout_one_blas_thread_and_default(cli_args):
+    """CLI stdout with OPENBLAS_NUM_THREADS=1, then with every thread variable unset."""
+    return [_stdout(cli_args, openblas_threads=1), _stdout(cli_args)]
 
 
 def test_claim1_sweep_bytes_independent_of_blas_threads():
@@ -322,6 +328,14 @@ def test_pooled_certify_bytes_independent_of_blas_threads_and_equal_serial():
     argv = ["certify", "--n", "16", "--eps", "0.15", "--trials", "2", "--seed", "3",
             "--include-family", "parity"]
     pooled = _stdout_one_blas_thread_and_default([*argv, "--threads", "2"])
-    serial = _stdout_one_blas_thread_and_default([*argv, "--threads", "1"])
+    serial = _stdout([*argv, "--threads", "1"], openblas_threads=1)
     assert pooled[0].startswith(b"schema_version") and pooled[0] == pooled[1]
-    assert pooled[0] == serial[0]
+    assert pooled[0] == serial
+
+
+def test_pooled_certify_trial_bytes_independent_of_trial_count():
+    # a pool of one trial runs its BLAS on one thread as well, so a prefix of
+    # trials prints the same digits when --trials grows
+    argv = ["certify", "--n", "16", "--eps", "0.15", "--seed", "3", "--threads", "2"]
+    one, two = (_stdout([*argv, "--trials", k]).splitlines() for k in ("1", "2"))
+    assert one[1].startswith(b"1,certify,certificate,16,") and one[1] == two[1]
