@@ -26,6 +26,7 @@ from .fourier_operator import (
     build_dense,
     build_matrix_free,
     build_operator,
+    prove_norm_below,
     spectral_norm,
 )
 from .interrogation import (

@@ -4,11 +4,13 @@ Any T-query algorithm computing f with error at most eps forces
 norm(F_T) >= 1/2 - eps, where F_T is the truncated Fourier operator.
 Contrapositive: whenever the measured norm sits strictly below the
 threshold (minus a numerical guard band), no such algorithm exists and
-T + 1 queries become a certified lower bound.
+T + 1 queries become a lower bound, certified when each such norm bound
+also has a proof.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 
@@ -20,7 +22,7 @@ from .boolfn import (
     map_trials,
     sample_uniform,
 )
-from .fourier_operator import build_operator, spectral_norm
+from .fourier_operator import build_operator, prove_norm_below, spectral_norm
 from .interrogation import choose_t
 from .transforms import binary_entropy, binomial_sum
 
@@ -73,20 +75,26 @@ def certify_lower_bound(
     guard = max(tol, residual); the returned lower_bound_t is the first
     non-refuted T.  Norm values are nondecreasing in T (nested principal
     submatrices), so nothing beyond the stopping point can be refuted.
-    Each truncation's operator comes from build_operator, which goes dense
-    while B is small enough to materialize.
-    Refutations obtained from matrix-free Lanczos leave status "empirical":
-    its Ritz value lies within the residual of some eigenvalue but can only
-    undershoot the true norm; dense eigendecompositions yield "certified".
+    Each truncation's operator comes from build_operator, which picks dense
+    or matrix-free by cost, so the norms are estimates either way.  status
+    is "certified" when every refuted T also has a proof that its norm lies
+    below 1/2 - eps (prove_norm_below: an exactly zero operator, or for
+    B <= DENSE_LIMIT two verified Cholesky factorizations), else
+    "empirical".  A refutation past DENSE_LIMIT with a nonzero operator
+    stays empirical: a Ritz value can only undershoot the true norm.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
     g = canonical_sign(f)
     threshold = 0.5 - eps
+    # one step down from the rounded difference is at most the exact 1/2 - eps
+    tau = math.nextafter(threshold, 0.0)
     evidence: list[EvidenceEntry] = []
     lower = g.n + 1  # unreachable: T = n always has norm 1
+    proven = True
     for t in range(g.n + 1):
-        est = spectral_norm(build_operator(g, t), tol=tol, max_iter=max_iter)
+        op = build_operator(g, t)
+        est = spectral_norm(op, tol=tol, max_iter=max_iter)
         guard = max(tol, est.residual)
         refuted = est.converged and (est.value + guard < threshold)
         evidence.append(
@@ -96,7 +104,8 @@ def certify_lower_bound(
         if not refuted:
             lower = t
             break
-    status = "certified" if all(e.method == "dense_eigen" for e in evidence if e.refuted) else "empirical"
+        proven = proven and prove_norm_below(op, tau)
+    status = "certified" if proven else "empirical"
     t_stop = min(lower, g.n)
     exponent = g.n * binary_entropy(t_stop / g.n)
     entropy = EntropyReport(t=t_stop, b=binomial_sum(g.n, t_stop), exponent=exponent, bound=2.0 ** exponent)

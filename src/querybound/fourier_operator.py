@@ -9,17 +9,42 @@ densely or applied matrix-free through two Walsh-Hadamard transforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import functools
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .boolfn import BooleanFunction, fourier
 from .transforms import WeightIndex, binomial_sum, build_weight_index, fwht_in_place
 
-# B x B doubles at 4096 is 128 MiB; larger truncations must go matrix-free.
+# Hard memory cap: B x B doubles at 4096 is 128 MiB, so larger truncations
+# are never materialized, neither for eigvalsh nor for a Cholesky proof.
 DENSE_LIMIT = 4096
+
+# Cost model behind build_operator, in seconds, fitted offline to single-thread
+# runs (OPENBLAS_NUM_THREADS=1) of sample_uniform(n, 42) for n = 8..20, and of
+# sample_uniform(n, 7) for n = 8..14, on a 2-vCPU Xeon VM with numpy 2.4.6 and
+# OpenBLAS 0.3.31:
+#   dense   = _C_DENSE * B^3                           (build_dense + eigvalsh)
+#   Lanczos = 2k (_C_STEP + _C_POINT * 2^n ceil(n/6))  (two passes of k steps)
+# with k = _K_BASE + _K_HALF * 2^n / |2^n - 2B| first-pass steps.  k was 2-280
+# elsewhere and grows as B nears 2^(n-1).  At B = 2^(n-1) (odd n, T = (n-1)/2)
+# the first pass took 200-1690 steps, and n = 11, T = 5 took 5-7.5 s against
+# 0.13 s dense, so that point is dense whenever it fits DENSE_LIMIT.
+# Measured dense vs Lanczos:
+#   n = 12: B =  299 0.006 vs 0.010 s (dense) | B =  794 0.053 vs 0.026 s (Lanczos)
+#   n = 14: B =  470 0.015 vs 0.036 s (dense) | B = 1471 0.35 vs 0.06 s;
+#                                               B = 3473 4.1 vs 0.09 s (Lanczos)
+#   n = 16: B =  697 0.032 vs 0.141 s (dense) | B = 2517 1.58 vs 0.23 s (Lanczos)
+#   n = 18: B =  988 0.116 vs 1.13 s (dense)  | B = 4048 6.37 vs 1.45 s (Lanczos)
+# The rule is a pure function of (n, B), so a rerun never changes mode.
+_C_DENSE = 1e-10
+_C_STEP = 5e-5
+_C_POINT = 6e-9
+_K_BASE = 40
+_K_HALF = 45
 
 # Lanczos stops once the residual estimate of its Ritz pair is below
 # _MARGIN * tol: the explicit residual matches the estimate to a relative
@@ -80,11 +105,21 @@ def build_dense(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
     if b > DENSE_LIMIT:
         raise ValueError(f"B={b} exceeds the dense budget {DENSE_LIMIT}; use build_matrix_free")
     index = build_weight_index(f.n, t)
-    coeffs = fourier(f).coeffs
-    xor_table = index.strings[:, None] ^ index.strings[None, :]
-    dense = coeffs[xor_table]
+    dense = np.empty((b, b))
+    _gather_xor(fourier(f).coeffs, index.strings, dense)
     dense.flags.writeable = False
     return TruncatedFourierOperator(f=f, t=t, index=index, dense_matrix=dense)
+
+
+def _gather_xor(coeffs: np.ndarray, strings: np.ndarray, out: np.ndarray) -> None:
+    """out[i, j] = coeffs[strings[i] ^ strings[j]], a block of rows at a time.
+
+    A block of 256 rows keeps the int64 XOR indices at 8 MiB for B = 4096,
+    where a whole table would take as much as out itself.
+    """
+    for lo in range(0, strings.shape[0], 256):
+        rows = strings[lo:lo + 256, None] ^ strings[None, :]
+        np.take(coeffs, rows, out=out[lo:lo + 256], mode="clip")
 
 
 def build_matrix_free(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
@@ -93,10 +128,26 @@ def build_matrix_free(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
 
 
 def build_operator(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
-    """Dense when B = binomial_sum(n, t) fits DENSE_LIMIT, matrix-free otherwise."""
-    if binomial_sum(f.n, t) <= DENSE_LIMIT:
+    """Dense or matrix-free, whichever the fitted cost model says is faster.
+
+    Dense only when B = binomial_sum(n, t) fits DENSE_LIMIT and c B^3 for
+    eigvalsh is at most the modelled cost of two-pass Lanczos (see _C_DENSE).
+    For n <= 8 every T is dense; n = 16 is dense up to T = 3 (B = 697) and
+    matrix-free from T = 4 (B = 2517).
+    """
+    n, b = f.n, binomial_sum(f.n, t)
+    if b <= DENSE_LIMIT and _dense_is_cheaper(n, b):
         return build_dense(f, t)
     return build_matrix_free(f, t)
+
+
+def _dense_is_cheaper(n: int, b: int) -> bool:
+    distance = abs((1 << n) - 2 * b)
+    if distance == 0:
+        return True
+    steps = _K_BASE + _K_HALF * (1 << n) / distance
+    lanczos = 2 * steps * (_C_STEP + _C_POINT * (1 << n) * -(-n // 6))
+    return _C_DENSE * b ** 3 <= lanczos
 
 
 def spectral_norm(
@@ -199,3 +250,108 @@ def _is_zero_operator(op: TruncatedFourierOperator) -> bool:
     coeffs = fourier(op.f).coeffs
     weights = np.bitwise_count(np.arange(coeffs.shape[0], dtype=np.int64))
     return not np.any(coeffs[weights <= 2 * op.t])
+
+
+def prove_norm_below(op: TruncatedFourierOperator, tau: float) -> bool:
+    """True only if ||F_T|| < tau holds in exact arithmetic; False means no proof.
+
+    Two proofs are tried.  An operator that is exactly zero (see
+    _is_zero_operator) has norm 0.  Otherwise, for B <= DENSE_LIMIT, a
+    floating-point Cholesky factorization of (tau I - F_T) - cI and one of
+    (tau I + F_T) - cI that both run to completion prove tau I -+ F_T > 0, so
+    every eigenvalue of F_T lies strictly inside (-tau, tau).  This is Rump,
+    "Verification of positive definiteness", BIT 46 (2006) 433-452: when the
+    factorization of a symmetric A completes with positive pivots, the
+    computed factor R satisfies R^T R = A + E with
+    |E| <= gamma |R^T| |R|, gamma = (B+1)u / (1 - (B+1)u) and u = 2^-53, for
+    any order of the inner products, so for blocked LAPACK as well.  Then
+    ||E|| <= gamma ||R||_F^2 <= gamma / (1 - gamma) trace(A), and the shift
+    c = gamma / (1 - gamma) B (tau -+ fhat(0)) + 2^-1000 covers it a priori;
+    the 2^-1000 is a margin for underflow, whose absolute errors of at most
+    2^-1074 per operation sum to far less for B <= DENSE_LIMIT.
+    The off-diagonal entries -+fhat(s XOR t) are exact in float64, and the
+    diagonal, the same for every row, is rounded down, so the factored matrix
+    is at most the exact (tau I -+ F_T) - cI.  tau itself is taken as exact.
+    A dense operator's matrix is reused; a matrix-free one is gathered again.
+    Memory is one B x B buffer, factored in place by numpy's LAPACK.
+    """
+    if tau <= 0.0:
+        return False
+    if _is_zero_operator(op):
+        return True
+    b = op.size
+    if b > DENSE_LIMIT:
+        return False
+    coeffs = None if op.dense_matrix is not None else fourier(op.f).coeffs
+    fhat0 = op.dense_matrix[0, 0] if coeffs is None else coeffs[0]
+    gamma = Fraction(b + 1, (1 << 53) - (b + 1))
+    buf = np.empty((b, b))
+    for sign in (1, -1):
+        exact_diag = Fraction(tau) - sign * Fraction(fhat0)
+        if exact_diag <= 0:
+            return False
+        target = exact_diag * (1 - gamma / (1 - gamma) * b) - Fraction(1, 1 << 1000)
+        diag = float(target)
+        if Fraction(diag) > target:
+            diag = math.nextafter(diag, -math.inf)
+        if coeffs is None:
+            np.multiply(op.dense_matrix, -sign, out=buf)
+        else:
+            _gather_xor(coeffs, op.index.strings, buf)
+            if sign > 0:
+                np.negative(buf, out=buf)
+        np.fill_diagonal(buf, diag)
+        if not _cholesky_completes(buf):
+            return False
+    return True
+
+
+def _cholesky_completes(a: np.ndarray) -> bool:
+    """Cholesky-factor the symmetric a, in place when numpy's LAPACK is reachable.
+
+    True when the factorization ran to completion with positive pivots.
+    """
+    potrf = _lapack_potrf()
+    if potrf is None:
+        try:
+            a = np.linalg.cholesky(a)  # allocates two more B x B arrays
+        except np.linalg.LinAlgError:
+            return False
+    elif not potrf(a):
+        return False
+    return bool(np.all(a.diagonal() > 0.0))
+
+
+@functools.cache
+def _lapack_potrf():
+    """In-place dpotrf on a C-ordered float64 matrix, or None when numpy's LAPACK has none.
+
+    dlsym on numpy's own extension module also searches the libraries it
+    links, so this finds the LAPACK numpy itself calls; ILP64 builds carry
+    the 64_ suffix.  ctypes drops the GIL for the call, so pooled trials
+    factor in parallel.
+    """
+    import ctypes  # only a proof needs it
+
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    for name, int_type in (("scipy_dpotrf_64_", ctypes.c_int64), ("dpotrf_64_", ctypes.c_int64),
+                           ("scipy_dpotrf_", ctypes.c_int), ("dpotrf_", ctypes.c_int)):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            break
+    else:
+        return None
+    int_ptr = ctypes.POINTER(int_type)
+    fn.argtypes = [ctypes.c_char_p, int_ptr, ctypes.c_void_p, int_ptr, int_ptr]
+    fn.restype = None
+
+    def potrf(a: np.ndarray) -> bool:
+        if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != a.shape[1] or not a.flags.c_contiguous:
+            raise ValueError("dpotrf needs a square C-contiguous float64 matrix")
+        # "L" of the column-major matrix is the upper triangle of this C array;
+        # a is symmetric, so either triangle is the whole input.
+        size, info = int_type(a.shape[0]), int_type(0)
+        fn(b"L", ctypes.byref(size), a.ctypes.data, ctypes.byref(size), ctypes.byref(info))
+        return info.value == 0
+
+    return potrf

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from querybound.boolfn import make_family, sample_uniform
+from querybound.boolfn import BooleanFunction, make_family, sample_uniform
 from querybound.certify import certify_lower_bound, certify_random_sweep
 from querybound.interrogation import choose_t
 
@@ -120,3 +120,24 @@ def test_sweep_threads_match_serial():
     threaded, _ = certify_random_sweep(6, 0.1, trials=4, seed=8, threads=3)
     assert [b.lower_bound_t for b in serial] == [b.lower_bound_t for b in threaded]
     assert [b.f_descriptor for b in serial] == [b.f_descriptor for b in threaded]
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_lanczos_refutation_below_dense_cap_stays_certified(n):
+    # T = 4 (B = 3214, 4048) is matrix-free; its refutation is proven by Cholesky
+    bound = certify_lower_bound(sample_uniform(n, 0), 0.1)
+    assert bound.lower_bound_t == 5
+    assert bound.evidence[4].method == "lanczos" and bound.evidence[4].refuted
+    assert bound.status == "certified"
+
+
+def test_refutation_past_dense_cap_is_empirical():
+    # parity on 15 bits with f(0) flipped: F_T = -2^(1-n) J for T <= 7, norm 2B/2^n.
+    # T = 5 (B = 4944 > DENSE_LIMIT) is refuted at norm 0.30 but has no proof.
+    signs = make_family("parity", 15).signs.copy()
+    signs[0] = -signs[0]
+    bound = certify_lower_bound(BooleanFunction(15, signs), 0.1)
+    assert bound.lower_bound_t == 6
+    assert bound.evidence[5].refuted and bound.evidence[5].method == "lanczos"
+    assert bound.evidence[5].norm == pytest.approx(2 * 4944 / 2**15, abs=1e-12)
+    assert bound.status == "empirical"

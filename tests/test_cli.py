@@ -110,6 +110,16 @@ def test_certify_parity_row(tmp_path):
     assert json.loads(row["norms"]) == [0.0, 0.0, 0.0, 1.0]
 
 
+def test_certify_parity_14_zero_norms_past_dense_cap_are_certified(tmp_path):
+    # T = 5, 6 (B = 3473, 6476) are matrix-free; their exact zeros are proofs
+    code, text = run_cli(tmp_path, ["certify", "--family", "parity", "--n", "14", "--eps", "0.1"])
+    row = parse_csv(text)[0]
+    assert code == 0
+    assert row["lower_bound_t"] == "7"
+    assert row["status"] == "certified"
+    assert json.loads(row["norms"])[:7] == [0.0] * 7
+
+
 def test_certify_sweep_rows_and_summary(tmp_path):
     argv = ["certify", "--n", "6", "--eps", "0.333", "--trials", "4", "--seed", "2",
             "--include-family", "parity"]

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from querybound.fourier_operator import (
     build_operator,
     spectral_norm,
 )
-from querybound.transforms import build_weight_index
+from querybound.transforms import binomial_sum, build_weight_index
 
 
 def conjugated_sign_matrix(f):
@@ -161,13 +164,47 @@ def test_spectral_norm_rejects_bad_tol():
         spectral_norm(build_matrix_free(sample_uniform(5, 0), 2), tol=0.0)
 
 
-def test_dense_limit_is_what_build_checks():
-    # budget build_dense enforces and build_operator's size rule uses
+def _golden_truncations():
+    """(n, T) of every norm and certify golden: norm at its --t, certify at every T."""
+    cases = json.loads((Path(__file__).parent.parent / "docs" / "golden" / "cases.json").read_text())
+    for case in cases.values():
+        argv = case["argv"]
+        if argv[0] in ("norm", "certify"):
+            n = int(argv[argv.index("--n") + 1])
+            ts = [int(argv[argv.index("--t") + 1])] if "--t" in argv else range(n + 1)
+            yield from ((n, t) for t in ts)
+
+
+def test_build_operator_picks_dense_by_cost():
+    f = sample_uniform(16, 0)
+    assert build_operator(f, 3).mode == "dense"  # B = 697
+    assert build_operator(f, 4).mode == "matrix_free"  # B = 2517
+    goldens = list(_golden_truncations())
+    assert {n for n, _ in goldens} == {6, 8}
+    for n, t in goldens:
+        assert build_operator(make_family("constant_plus", n), t).mode == "dense", (n, t)
+    # B = 2^(n-1) is dense while it fits (n = 13, T = 6 is B = 4096), never past the cap
+    assert build_operator(sample_uniform(13, 0), 6).mode == "dense"
+    for n in range(12, 17):
+        f = sample_uniform(n, 1)
+        for t in range(n + 1):
+            if binomial_sum(n, t) > DENSE_LIMIT:
+                assert build_operator(f, t).mode == "matrix_free", (n, t)
     assert DENSE_LIMIT == 4096
-    # build_operator switches to matrix-free just past the limit
-    f = sample_uniform(13, 0)
-    assert build_operator(f, 6).mode == "dense"  # B = 4096
-    assert build_operator(f, 7).mode == "matrix_free"  # B = 5812
+    with pytest.raises(ValueError):
+        build_dense(sample_uniform(13, 0), 7)  # B = 5812
+
+
+@pytest.mark.parametrize("n", range(12, 19))
+def test_lanczos_matches_eigvalsh_where_rule_flips(n):
+    # for n = 12..18 the first matrix-free T is 4, with B <= DENSE_LIMIT
+    f = sample_uniform(n, 600 + n)
+    t = next(t for t in range(n + 1) if build_operator(f, t).mode == "matrix_free")
+    assert t == 4 and binomial_sum(n, t) <= DENSE_LIMIT
+    est = spectral_norm(build_operator(f, t))
+    exact = float(np.max(np.abs(np.linalg.eigvalsh(build_dense(f, t).dense_matrix))))
+    assert est.method == "lanczos" and est.converged
+    assert abs(est.value - exact) <= 1e-12, (n, t, est.value, exact)
 
 
 def test_lanczos_matches_dense_where_power_iteration_stopped_short():
