@@ -6,13 +6,7 @@ almost all functions.  Structured families sit far from typical: parity
 stays at exactly 0 until weight n/2.
 """
 
-import math
-
-import numpy as np
-
-from querybound.boolfn import derive_seeds, make_family, sample_uniform
-from querybound.fourier_operator import build_matrix_free, spectral_norm
-from querybound.transforms import binomial_sum
+from querybound.certify import run_claim1_sweep
 
 NS = (8, 10, 12, 14)
 TRIALS = 10
@@ -22,18 +16,10 @@ SEED = 7
 def main():
     print(f"{'n':>3} {'T':>3} {'B':>6} {'median norm':>12} "
           f"{'sqrt(nB/2^n)':>13} {'ratio':>7} {'parity norm':>12}")
-    for i, n in enumerate(NS):
-        t = int(0.4 * n)
-        b = binomial_sum(n, t)
-        scale = math.sqrt(n * b / (1 << n))
-        seeds = derive_seeds(SEED, (i + 1) * TRIALS)[i * TRIALS:]
-        norms = [spectral_norm(build_matrix_free(sample_uniform(n, int(s)), t),
-                               seed=int(s)).value
-                 for s in seeds]
-        med = float(np.median(norms))
-        par = spectral_norm(build_matrix_free(make_family("parity", n), t)).value
-        print(f"{n:>3} {t:>3} {b:>6} {med:>12.4f} {scale:>13.4f} "
-              f"{med / scale:>7.3f} {par:>12.4f}")
+    rows = run_claim1_sweep(list(NS), 0.4, TRIALS, SEED, include_family="parity")
+    for rand, parity in zip(rows[::2], rows[1::2]):
+        print(f"{rand['n']:>3} {rand['t']:>3} {rand['b']:>6} {rand['median_norm']:>12.4f} "
+              f"{rand['ref_scale']:>13.4f} {rand['ratio']:>7.3f} {parity['median_norm']:>12.4f}")
     print(f"\n({TRIALS} random sign tables per row, root seed {SEED}; "
           f"the ratio column is what stays flat)")
 

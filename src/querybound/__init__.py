@@ -18,7 +18,7 @@ from .boolfn import (
     sample_uniform,
     write_truth_table,
 )
-from .certify import CertifiedBound, certify_lower_bound, certify_random_sweep
+from .certify import CertifiedBound, certify_lower_bound, certify_random_sweep, run_claim1_sweep
 from .fourier_operator import (
     DENSE_LIMIT,
     NormEstimate,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .transforms import fwht_in_place
+from .transforms import check_bits, fwht_in_place
 
 FAMILIES = ("constant_plus", "parity", "or_fn", "majority")
 
@@ -36,6 +36,14 @@ class BooleanFunction:
     def negated(self) -> "BooleanFunction":
         return BooleanFunction(self.n, -self.signs)
 
+    @functools.cached_property
+    def _spectrum(self) -> "FourierSpectrum":
+        """Computed on first use by fourier(); the sign table never changes."""
+        buf = self.signs.copy()
+        fwht_in_place(buf)
+        buf /= float(1 << self.n)
+        return FourierSpectrum(self.n, buf)
+
 
 @dataclass(frozen=True, eq=False)
 class FourierSpectrum:
@@ -53,8 +61,7 @@ class FourierSpectrum:
 
 def make_family(name: str, n: int) -> BooleanFunction:
     """Named test families: constant_plus, parity, or_fn, majority (odd n only)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_bits(n)
     x = np.arange(1 << n, dtype=np.int64)
     if name == "constant_plus":
         signs = np.ones(1 << n)
@@ -74,8 +81,7 @@ def make_family(name: str, n: int) -> BooleanFunction:
 
 def sample_uniform(n: int, seed: int) -> BooleanFunction:
     """Uniformly random sign table, deterministic per seed (PCG64 stream)."""
-    if n < 1 or n > 26:
-        raise ValueError(f"n must lie in 1..26, got {n}")
+    check_bits(n)
     rng = np.random.Generator(np.random.PCG64(seed))
     signs = 1.0 - 2.0 * rng.integers(0, 2, size=1 << n)
     return BooleanFunction(n, signs)
@@ -121,31 +127,34 @@ def map_trials(fn, items, threads: int) -> list:
             set_threads(saved)
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) for the thread count of numpy's OpenBLAS, or None when it has none.
+def numpy_symbols(*candidates: tuple[str, ...]) -> list | None:
+    """ctypes functions for the first group of names that all resolve, or None.
 
     dlsym on numpy's own extension module also searches the libraries it
-    links, so this finds whichever OpenBLAS build numpy loaded.
+    links, so this finds the BLAS and LAPACK builds numpy itself calls.
     """
-    import ctypes  # only a pool needs it
+    import ctypes  # only a pool or a proof needs it
 
     lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    for prefix, suffix in (("openblas", ""), ("openblas", "64_"),
-                           ("scipy_openblas", "64_"), ("scipy_openblas", "")):
+    for names in candidates:
         try:
-            return (getattr(lib, f"{prefix}_get_num_threads{suffix}"),
-                    getattr(lib, f"{prefix}_set_num_threads{suffix}"))
+            return [getattr(lib, name) for name in names]
         except AttributeError:
             continue
     return None
 
 
+@functools.cache
+def _openblas_threads():
+    """[get, set] for the thread count of numpy's OpenBLAS, or None when it has none."""
+    return numpy_symbols(*((f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+                           for prefix, suffix in (("openblas", ""), ("openblas", "64_"),
+                                                  ("scipy_openblas", "64_"), ("scipy_openblas", ""))))
+
+
 def fourier(f: BooleanFunction) -> FourierSpectrum:
-    buf = f.signs.copy()
-    fwht_in_place(buf)
-    buf /= float(1 << f.n)
-    return FourierSpectrum(f.n, buf)
+    """The spectrum of f, transformed once per function and then reused."""
+    return f._spectrum
 
 
 def canonical_sign(f: BooleanFunction) -> BooleanFunction:

@@ -5,14 +5,17 @@ norm(F_T) >= 1/2 - eps, where F_T is the truncated Fourier operator.
 Contrapositive: whenever the measured norm sits strictly below the
 threshold (minus a numerical guard band), no such algorithm exists and
 T + 1 queries become a lower bound, certified when each such norm bound
-also has a proof.
+also has a proof.  The seeded sweeps over random functions live here too:
+certificates (certify_random_sweep) and norm scaling (run_claim1_sweep).
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .boolfn import (
     BooleanFunction,
@@ -22,7 +25,7 @@ from .boolfn import (
     map_trials,
     sample_uniform,
 )
-from .fourier_operator import build_operator, prove_norm_below, spectral_norm
+from .fourier_operator import build_matrix_free, build_operator, prove_norm_below, spectral_norm
 from .interrogation import choose_t
 from .transforms import binary_entropy, binomial_sum
 
@@ -60,6 +63,7 @@ class CertifiedBound:
     evidence: tuple[EvidenceEntry, ...]
     status: str  # "certified" | "empirical"
     entropy: EntropyReport
+    seed: int | None = None  # the sign table's seed, set by certify_random_sweep
 
 
 def certify_lower_bound(
@@ -130,21 +134,27 @@ def certify_random_sweep(
     include_family: str | None = None,
     threads: int = 1,
 ) -> tuple[list[CertifiedBound], dict]:
-    """Certify `trials` uniformly random functions, plus an optional named family as trial 0."""
+    """Certify `trials` uniformly random functions, plus an optional named family as trial 0.
+
+    Random trial i samples its sign table from derive_seeds(seed, trials)[i]
+    and returns it as the bound's `seed`; the family's bound has seed None.
+    Bounds come back in trial order, whatever the number of threads.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if threads < 1:  # refuse before any sign table exists
         raise ValueError(f"threads must be >= 1, got {threads}")
-    jobs: list[tuple[BooleanFunction | int, str]] = []
+    jobs: list[BooleanFunction | int] = []
     if include_family is not None:
-        jobs.append((make_family(include_family, n), include_family))
-    jobs += [(s, f"random:seed={s}") for s in derive_seeds(seed, trials)]
+        jobs.append(make_family(include_family, n))
+    jobs += derive_seeds(seed, trials)
 
-    def one(job: tuple[BooleanFunction | int, str]) -> CertifiedBound:
-        f, desc = job
-        if not isinstance(f, BooleanFunction):
-            f = sample_uniform(n, f)  # sampled per trial: one table per running thread
-        return certify_lower_bound(f, eps, tol=tol, max_iter=max_iter, descriptor=desc)
+    def one(job: BooleanFunction | int) -> CertifiedBound:
+        if isinstance(job, BooleanFunction):
+            return certify_lower_bound(job, eps, tol=tol, max_iter=max_iter, descriptor=include_family)
+        f = sample_uniform(n, job)  # sampled per trial: one table per running thread
+        bound = certify_lower_bound(f, eps, tol=tol, max_iter=max_iter, descriptor=f"random:seed={job}")
+        return replace(bound, seed=job)
 
     bounds = map_trials(one, jobs, threads)
 
@@ -161,3 +171,52 @@ def certify_random_sweep(
         "num_certified": sum(b.status == "certified" for b in bounds),
     }
     return bounds, summary
+
+
+def run_claim1_sweep(
+    ns: list[int],
+    t_rule: float,
+    trials: int,
+    seed: int,
+    tol: float = 1e-8,
+    max_iter: int = 10000,
+    threads: int = 1,
+    include_family: str | None = None,
+) -> list[dict]:
+    """Median spectral norm of F_T over random functions, per n, against sqrt(n B / 2^n).
+
+    T = floor(t_rule * n).  Norms run matrix-free at every size so the whole
+    grid exercises one code path.  The j-th n's trial i uses seed
+    derive_seeds(seed, len(ns) * trials)[j * trials + i] for its sign table
+    and its Lanczos start.  Each n gives a "random" row, followed by a row
+    for include_family when one is named, whose norm starts from the root
+    seed.  Rows hold the measurement and the configuration behind it (n, t,
+    t_rule, seed, tol, max_iter), nothing else.
+    """
+    if not 0.0 < t_rule <= 0.5:
+        raise ValueError(f"t_rule must lie in (0, 0.5], got {t_rule}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    all_seeds = derive_seeds(seed, len(ns) * trials)
+    rows = []
+    for i, n in enumerate(ns):
+        t = int(t_rule * n)
+        b = binomial_sum(n, t)
+        ref = math.sqrt(n * b / (1 << n))
+        block = all_seeds[i * trials:(i + 1) * trials]
+
+        def norm(f: BooleanFunction, s: int):
+            return spectral_norm(build_matrix_free(f, t), tol=tol, max_iter=max_iter, seed=s)
+
+        def row(kind: str, ests: list) -> dict:
+            norms = np.array([e.value for e in ests])
+            median = float(np.median(norms))
+            return {"kind": kind, "n": n, "t": t, "t_rule": t_rule, "b": b, "trials": len(ests),
+                    "median_norm": median, "max_norm": float(norms.max()), "ref_scale": ref,
+                    "ratio": median / ref, "unconverged": sum(not e.converged for e in ests),
+                    "seed": seed, "tol": tol, "max_iter": max_iter}
+
+        rows.append(row("random", map_trials(lambda s: norm(sample_uniform(n, s), s), block, threads)))
+        if include_family is not None:
+            rows.append(row(include_family, [norm(make_family(include_family, n), seed)]))
+    return rows

@@ -16,14 +16,11 @@ import csv
 import hashlib
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import boolfn
-from .certify import certify_lower_bound, certify_random_sweep
+from .certify import certify_lower_bound, certify_random_sweep, run_claim1_sweep
 from .fourier_operator import build_dense, build_matrix_free, build_operator, spectral_norm
 from .interrogation import (
     asymptotic_reference_t,
@@ -44,17 +41,13 @@ from .transforms import binomial_sum, format_bitstring, parse_bitstring
 SCHEMA_VERSION = 1
 
 
-def _fmt17(x: float) -> str:
-    return "%.17g" % x
-
-
 def _csv_cell(v) -> str:
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return _fmt17(v)
+        return "%.17g" % v
     return str(v)
 
 
@@ -76,11 +69,11 @@ def write_rows(fieldnames: list[str], rows: list[dict], fmt: str, out: str) -> N
 
 
 def _load_function(args) -> tuple[boolfn.BooleanFunction, str]:
-    if getattr(args, "function_file", None):
+    if args.function_file:
         f = boolfn.read_truth_table(args.function_file)
         digest = hashlib.sha256(Path(args.function_file).read_bytes()).hexdigest()[:12]
         return f, f"file:{digest}"
-    if getattr(args, "family", None):
+    if args.family:
         if args.n is None:
             raise ValueError("--family requires --n")
         return boolfn.make_family(args.family, args.n), args.family
@@ -168,11 +161,11 @@ CERTIFY_FIELDS = [
 ]
 
 
-def _certificate_row(bound, trial, seed, upper) -> dict:
+def _certificate_row(bound, trial, upper) -> dict:
     return {
         "schema_version": SCHEMA_VERSION, "subcommand": "certify", "kind": "certificate",
         "n": bound.n, "eps": bound.eps, "trial": trial, "function": bound.f_descriptor,
-        "seed": seed, "lower_bound_t": bound.lower_bound_t, "status": bound.status,
+        "seed": bound.seed, "lower_bound_t": bound.lower_bound_t, "status": bound.status,
         "upper_bound_t": upper, "b_stop": bound.entropy.b,
         "entropy_exponent": bound.entropy.exponent, "entropy_bound": bound.entropy.bound,
         "norms": json.dumps([e.norm for e in bound.evidence]),
@@ -180,9 +173,7 @@ def _certificate_row(bound, trial, seed, upper) -> dict:
 
 
 def cmd_certify(args) -> tuple[list[str], list[dict], int]:
-    upper = choose_t(args.n, args.eps) if args.n is not None else None
-    rows = []
-    if args.trials:
+    if args.trials is not None:  # 0 reaches certify_random_sweep, which rejects it
         if args.seed is None:
             raise ValueError("--trials requires --seed")
         if args.n is None:
@@ -192,19 +183,15 @@ def cmd_certify(args) -> tuple[list[str], list[dict], int]:
             max_iter=args.max_iter, include_family=args.include_family,
             threads=args.threads,
         )
-        seeds = boolfn.derive_seeds(args.seed, args.trials)
-        offset = 1 if args.include_family else 0
-        for i, bound in enumerate(bounds):
-            seed = seeds[i - offset] if i >= offset else None
-            rows.append(_certificate_row(bound, i, seed, upper))
+        upper = summary["upper_bound_t"]
+        rows = [_certificate_row(bound, i, upper) for i, bound in enumerate(bounds)]
         rows.append({"schema_version": SCHEMA_VERSION, "subcommand": "certify",
                      "kind": "summary"} | summary)
     else:
         f, desc = _load_function(args)
-        upper = choose_t(f.n, args.eps)
         bound = certify_lower_bound(f, args.eps, tol=args.tol, max_iter=args.max_iter,
                                     descriptor=desc)
-        rows.append(_certificate_row(bound, 0, None, upper))
+        rows = [_certificate_row(bound, 0, choose_t(f.n, args.eps))]
     for row in rows:
         row.setdefault("tol", args.tol)
         row.setdefault("max_iter", args.max_iter)
@@ -256,71 +243,13 @@ CLAIM1_FIELDS = [
 ]
 
 
-def run_claim1_sweep(
-    ns: list[int],
-    t_rule: float,
-    trials: int,
-    seed: int,
-    tol: float = 1e-8,
-    max_iter: int = 10000,
-    threads: int = 1,
-    include_family: str | None = None,
-    eps: float | None = None,
-) -> list[dict]:
-    """Median spectral norm of F_T over random functions, per n, against sqrt(n B / 2^n).
-
-    T = floor(t_rule * n).  Norms run matrix-free at every size so the whole
-    grid exercises one code path; per-trial seeds derive from the root seed
-    in (n, trial) order.  eps plays no role in the measurement and is only
-    echoed into the output rows.
-    """
-    if not 0.0 < t_rule <= 0.5:
-        raise ValueError(f"t_rule must lie in (0, 0.5], got {t_rule}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    all_seeds = boolfn.derive_seeds(seed, len(ns) * trials)
-    rows = []
-    for i, n in enumerate(ns):
-        t = int(t_rule * n)
-        b = binomial_sum(n, t)
-        ref = math.sqrt(n * b / (1 << n))
-        block = all_seeds[i * trials:(i + 1) * trials]
-
-        def one(s: int):
-            f = boolfn.sample_uniform(n, s)
-            return spectral_norm(build_matrix_free(f, t), tol=tol, max_iter=max_iter, seed=s)
-
-        ests = boolfn.map_trials(one, block, threads)
-        norms = np.array([e.value for e in ests])
-        base = {
-            "schema_version": SCHEMA_VERSION, "subcommand": "claim1-sweep",
-            "n": n, "t": t, "t_rule": t_rule, "b": b, "eps": eps,
-            "seed": seed, "tol": tol, "max_iter": max_iter,
-        }
-        rows.append(base | {
-            "kind": "random", "trials": trials,
-            "median_norm": float(np.median(norms)), "max_norm": float(norms.max()),
-            "ref_scale": ref, "ratio": float(np.median(norms)) / ref,
-            "unconverged": sum(not e.converged for e in ests),
-        })
-        if include_family is not None:
-            f = boolfn.make_family(include_family, n)
-            est = spectral_norm(build_matrix_free(f, t), tol=tol, max_iter=max_iter, seed=seed)
-            rows.append(base | {
-                "kind": include_family, "trials": 1,
-                "median_norm": est.value, "max_norm": est.value,
-                "ref_scale": ref, "ratio": est.value / ref,
-                "unconverged": 0 if est.converged else 1,
-            })
-    return rows
-
-
 def cmd_claim1(args) -> tuple[list[str], list[dict], int]:
     ns = [int(v) for v in args.ns.split(",")]
     rows = run_claim1_sweep(ns, args.t_rule, args.trials, args.seed, tol=args.tol,
                             max_iter=args.max_iter, threads=args.threads,
-                            include_family=args.include_family, eps=args.eps)
-    return CLAIM1_FIELDS, rows, 0
+                            include_family=args.include_family)
+    head = {"schema_version": SCHEMA_VERSION, "subcommand": "claim1-sweep", "eps": args.eps}
+    return CLAIM1_FIELDS, [head | row for row in rows], 0
 
 
 # --------------------------------------------------------- claim2-verify
@@ -378,11 +307,6 @@ def cmd_claim2(args) -> tuple[list[str], list[dict], int]:
 
 # ------------------------------------------------------------------ main
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default="-", help="output path, '-' for stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="querybound",
@@ -390,8 +314,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "query lower bounds and trace-moment experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each group of flags that several subcommands share, defined once
+    function_flags = argparse.ArgumentParser(add_help=False)
+    function_flags.add_argument("--family", choices=boolfn.FAMILIES, help="a named function, with --n")
+    function_flags.add_argument("--function-file", help="truth table: 'n=<int>', then 2^n of '+' or '-'")
+    function_flags.add_argument("--n", type=int, help="number of input bits")
+    solver_flags = argparse.ArgumentParser(add_help=False)
+    solver_flags.add_argument("--tol", type=float, default=1e-8, help="residual bound of a Lanczos norm")
+    solver_flags.add_argument("--max-iter", type=int, default=10000, help="Lanczos step limit")
+    thread_flags = argparse.ArgumentParser(add_help=False)
+    thread_flags.add_argument("--threads", type=int, default=1, help="parallel trials, one BLAS thread each")
+    output_flags = argparse.ArgumentParser(add_help=False)
+    output_flags.add_argument("--format", choices=("csv", "json"), default="csv")
+    output_flags.add_argument("--out", default="-", help="output path, '-' for stdout")
 
-    p = sub.add_parser("vandam", help="simulate the oracle-interrogation routine")
+    p = sub.add_parser("vandam", parents=[output_flags],
+                       help="simulate the oracle-interrogation routine")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int)
     p.add_argument("--eps", type=float, help="pick T = choose_t(n, eps)")
@@ -399,65 +337,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="accepted for compatibility; has no effect")
     p.add_argument("--shots", type=int, help="also sample this many measurements")
     p.add_argument("--seed", type=int)
-    _add_output_flags(p)
     p.set_defaults(fn=cmd_vandam)
 
-    p = sub.add_parser("norm", help="spectral norm of the truncated Fourier operator")
-    p.add_argument("--family", choices=boolfn.FAMILIES)
-    p.add_argument("--function-file")
-    p.add_argument("--n", type=int)
+    p = sub.add_parser("norm", parents=[function_flags, solver_flags, output_flags],
+                       help="spectral norm of the truncated Fourier operator")
     p.add_argument("--t", type=int, required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--dense", action="store_true", help="force the dense eigensolver")
     mode.add_argument("--matrix-free", action="store_true", help="force matrix-free Lanczos")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0, help="Lanczos start vector seed")
-    _add_output_flags(p)
     p.set_defaults(fn=cmd_norm)
 
-    p = sub.add_parser("certify", help="query lower bounds from norm thresholds")
-    p.add_argument("--family", choices=boolfn.FAMILIES)
-    p.add_argument("--function-file")
-    p.add_argument("--n", type=int)
+    p = sub.add_parser("certify", parents=[function_flags, solver_flags, thread_flags, output_flags],
+                       help="query lower bounds from norm thresholds")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--trials", type=int, help="certify this many random functions")
     p.add_argument("--include-family", choices=boolfn.FAMILIES,
                    help="inject a named family as trial 0 of the sweep")
     p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--threads", type=int, default=1)
-    _add_output_flags(p)
     p.set_defaults(fn=cmd_certify)
 
-    p = sub.add_parser("moments", help="trace moments of the truncated operator")
+    p = sub.add_parser("moments", parents=[function_flags, thread_flags, output_flags],
+                       help="trace moments of the truncated operator")
     p.add_argument("--method", choices=("exact", "exhaustive", "mc"), required=True)
-    p.add_argument("--family", choices=boolfn.FAMILIES)
-    p.add_argument("--function-file")
-    p.add_argument("--n", type=int)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=1)
-    _add_output_flags(p)
     p.set_defaults(fn=cmd_moments)
 
-    p = sub.add_parser("claim1-sweep", help="norm scaling over random functions across n")
+    p = sub.add_parser("claim1-sweep", parents=[solver_flags, thread_flags, output_flags],
+                       help="norm scaling over random functions across n")
     p.add_argument("--ns", required=True, help="comma-separated n values, e.g. 10,12,14")
     p.add_argument("--t-rule", type=float, default=0.4, help="T = floor(t_rule * n)")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--eps", type=float, help="recorded in output only")
     p.add_argument("--include-family", choices=boolfn.FAMILIES)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--threads", type=int, default=1)
-    _add_output_flags(p)
     p.set_defaults(fn=cmd_claim1)
 
-    p = sub.add_parser("claim2-verify", help="exact partition-sum enumeration / evenness")
+    p = sub.add_parser("claim2-verify", parents=[output_flags],
+                       help="exact partition-sum enumeration / evenness")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int)
     p.add_argument("--m", type=int)
@@ -466,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check product expectations over sampled tuples instead")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    _add_output_flags(p)
     p.set_defaults(fn=cmd_claim2)
 
     return parser
@@ -476,10 +395,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         fieldnames, rows, code = args.fn(args)
-    except ValueError as e:
+        write_rows(fieldnames, rows, args.format, args.out)
+    except (ValueError, OSError) as e:  # OSError: an unreadable input or unwritable output file
         print(f"error: {e}", file=sys.stderr)
         return 1
-    write_rows(fieldnames, rows, args.format, args.out)
     return code
 
 

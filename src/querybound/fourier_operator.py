@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import BooleanFunction, fourier
+from .boolfn import BooleanFunction, fourier, numpy_symbols
 from .transforms import WeightIndex, binomial_sum, build_weight_index, fwht_in_place
 
 # Hard memory cap: B x B doubles at 4096 is 128 MiB, so larger truncations
@@ -282,19 +282,18 @@ def prove_norm_below(op: TruncatedFourierOperator, tau: float) -> bool:
     b = op.size
     if b > DENSE_LIMIT:
         return False
-    coeffs = None if op.dense_matrix is not None else fourier(op.f).coeffs
-    fhat0 = op.dense_matrix[0, 0] if coeffs is None else coeffs[0]
+    coeffs = fourier(op.f).coeffs
     gamma = Fraction(b + 1, (1 << 53) - (b + 1))
     buf = np.empty((b, b))
     for sign in (1, -1):
-        exact_diag = Fraction(tau) - sign * Fraction(fhat0)
+        exact_diag = Fraction(tau) - sign * Fraction(coeffs[0])
         if exact_diag <= 0:
             return False
         target = exact_diag * (1 - gamma / (1 - gamma) * b) - Fraction(1, 1 << 1000)
         diag = float(target)
         if Fraction(diag) > target:
             diag = math.nextafter(diag, -math.inf)
-        if coeffs is None:
+        if op.dense_matrix is not None:
             np.multiply(op.dense_matrix, -sign, out=buf)
         else:
             _gather_xor(coeffs, op.index.strings, buf)
@@ -326,21 +325,16 @@ def _cholesky_completes(a: np.ndarray) -> bool:
 def _lapack_potrf():
     """In-place dpotrf on a C-ordered float64 matrix, or None when numpy's LAPACK has none.
 
-    dlsym on numpy's own extension module also searches the libraries it
-    links, so this finds the LAPACK numpy itself calls; ILP64 builds carry
-    the 64_ suffix.  ctypes drops the GIL for the call, so pooled trials
-    factor in parallel.
+    ILP64 builds carry the 64_ suffix.  ctypes drops the GIL for the call,
+    so pooled trials factor in parallel.
     """
     import ctypes  # only a proof needs it
 
-    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    for name, int_type in (("scipy_dpotrf_64_", ctypes.c_int64), ("dpotrf_64_", ctypes.c_int64),
-                           ("scipy_dpotrf_", ctypes.c_int), ("dpotrf_", ctypes.c_int)):
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            break
-    else:
+    found = numpy_symbols(("scipy_dpotrf_64_",), ("dpotrf_64_",), ("scipy_dpotrf_",), ("dpotrf_",))
+    if found is None:
         return None
+    fn = found[0]
+    int_type = ctypes.c_int64 if fn.__name__.endswith("64_") else ctypes.c_int
     int_ptr = ctypes.POINTER(int_type)
     fn.argtypes = [ctypes.c_char_p, int_ptr, ctypes.c_void_p, int_ptr, int_ptr]
     fn.restype = None

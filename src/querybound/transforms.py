@@ -23,6 +23,15 @@ _FACTOR_BITS = 6
 
 _walsh_cache: dict[int, np.ndarray] = {}
 
+# Largest n for which a whole 2^n table is built: 2^26 doubles are 512 MiB.
+MAX_BITS = 26
+
+
+def check_bits(n: int) -> None:
+    """Refuse n outside 1..MAX_BITS before any 2^n table is allocated."""
+    if not 1 <= n <= MAX_BITS:
+        raise ValueError(f"n must lie in 1..{MAX_BITS}, got {n}")
+
 
 def _walsh_block(b: int) -> np.ndarray:
     """Dense 2^b x 2^b Walsh matrix of +-1 entries (float64)."""
@@ -101,8 +110,7 @@ class WeightIndex:
 
 
 def build_weight_index(n: int, t: int) -> WeightIndex:
-    if n < 1 or n > 26:
-        raise ValueError(f"n must lie in 1..26, got {n}")
+    check_bits(n)
     if t < 0 or t > n:
         raise ValueError(f"need 0 <= t <= n, got t={t}")
     vals = np.arange(1 << n, dtype=np.int64)

@@ -172,6 +172,13 @@ def test_map_trials_restores_blas_threads_when_fn_raises(blas_threads_at_two):
     assert blas_threads_at_two() == 2
 
 
+def test_numpy_symbols_takes_the_first_group_that_resolves():
+    assert boolfn.numpy_symbols(("no_such_symbol_a",), ("no_such_symbol_b",)) is None
+    found = boolfn.numpy_symbols(("no_such_symbol_a", "PyInit__multiarray_umath"),
+                                 ("PyInit__multiarray_umath",))
+    assert [fn.__name__ for fn in found] == ["PyInit__multiarray_umath"]
+
+
 def test_map_trials_one_thread_never_touches_blas(monkeypatch):
     monkeypatch.setattr(boolfn, "_openblas_threads", lambda: pytest.fail("BLAS touched"))
     assert map_trials(lambda x: 2 * x, [3, 4, 5], 1) == [6, 8, 10]

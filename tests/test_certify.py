@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from querybound.boolfn import BooleanFunction, make_family, sample_uniform
-from querybound.certify import certify_lower_bound, certify_random_sweep
+from querybound import boolfn, cli
+from querybound.boolfn import BooleanFunction, derive_seeds, make_family, sample_uniform
+from querybound.certify import certify_lower_bound, certify_random_sweep, run_claim1_sweep
 from querybound.interrogation import choose_t
 
 
@@ -101,6 +102,33 @@ def test_sweep_injects_family_as_trial_zero():
     assert bounds[0].f_descriptor == "parity"
     assert bounds[0].lower_bound_t == math.ceil(6 / 2)
     assert summary["trials"] == 3
+
+
+def test_sweep_bounds_carry_their_trial_seeds():
+    bounds, _ = certify_random_sweep(6, 0.1, trials=3, seed=4, include_family="parity", threads=2)
+    assert [b.seed for b in bounds] == [None, *derive_seeds(4, 3)]
+    assert [b.f_descriptor for b in bounds[1:]] == [f"random:seed={s}" for s in derive_seeds(4, 3)]
+    assert certify_lower_bound(sample_uniform(6, 1), 0.1).seed is None
+
+
+def test_one_spectrum_per_certificate(monkeypatch):
+    # build_dense, both zero tests and the proofs all read the same cached transform
+    calls = []
+    fwht = boolfn.fwht_in_place
+    monkeypatch.setattr(boolfn, "fwht_in_place", lambda v: calls.append(v.shape) or fwht(v))
+    bound = certify_lower_bound(sample_uniform(16, 0), 0.15)
+    assert len(bound.evidence) == 5
+    assert calls == [(1 << 16,)]
+
+
+def test_claim1_sweep_lives_in_the_library():
+    assert cli.run_claim1_sweep is run_claim1_sweep
+    rows = run_claim1_sweep([6, 8], 0.4, trials=3, seed=1, include_family="parity")
+    assert [r["kind"] for r in rows] == ["random", "parity", "random", "parity"]
+    assert set(rows[0]) == set(rows[1]) == {
+        "kind", "n", "t", "t_rule", "b", "trials", "median_norm", "max_norm", "ref_scale",
+        "ratio", "unconverged", "seed", "tol", "max_iter"}
+    assert [r["trials"] for r in rows] == [3, 1, 3, 1]
 
 
 def test_sweep_rejects_zero_threads_before_sampling(monkeypatch):

@@ -136,6 +136,39 @@ def test_certify_sweep_rows_and_summary(tmp_path):
     assert text == text2
 
 
+@pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["no-seed", "seed"])
+def test_certify_zero_trials_rejected(seed, capsys):
+    code = main(["certify", "--family", "parity", "--n", "8", "--eps", "0.1", "--trials", "0", *seed])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    if seed:
+        assert "trials must be >= 1, got 0" in captured.err
+
+
+def test_family_past_the_bit_cap_is_an_error(capsys):
+    # a 2^40 table is never allocated: make_family checks n first
+    code = main(["norm", "--family", "parity", "--n", "40", "--t", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: n must lie in 1..26, got 40\n"
+
+
+def test_missing_function_file_is_an_error(tmp_path, capsys):
+    code = main(["norm", "--function-file", str(tmp_path / "absent.txt"), "--t", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "absent.txt" in captured.err
+
+
+def test_unwritable_output_is_an_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    code = main(["norm", "--family", "parity", "--n", "4", "--t", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and not out.exists()
+    assert captured.err.startswith("error: ") and "x.csv" in captured.err
+
+
 def test_certify_rejects_large_eps(tmp_path, capsys):
     code = main(["certify", "--family", "parity", "--n", "4", "--eps", "0.6"])
     assert code == 1
