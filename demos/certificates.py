@@ -21,10 +21,9 @@ def main():
             print(f"  T={ev.t}: norm = {ev.norm:.6f}  [{ev.method}, {tag}]")
         unit = "query" if cert.lower_bound_t == 1 else "queries"
         print(f"  => at least {cert.lower_bound_t} {unit} ({cert.status})")
-        if cert.entropy is not None:
-            e = cert.entropy
-            print(f"  dimension at stop: B = {e.b}, entropy ceiling "
-                  f"2^{e.exponent:.2f} = {e.bound:.1f}")
+        e = cert.entropy
+        print(f"  dimension at stop: B = {e.b}, entropy ceiling "
+              f"2^{e.exponent:.2f} = {e.bound:.1f}")
         print()
 
 

@@ -58,6 +58,15 @@ class FourierSpectrum:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
+    @functools.cached_property
+    def lowest_weight(self) -> int:
+        """Least |s| with fhat(s) != 0, or n + 1 when every coefficient is zero.
+
+        Exact for the spectrum of a +-1 table, whose transform sums integers
+        and divides by a power of two.  F_T is exactly zero iff 2T < this.
+        """
+        return int(np.bitwise_count(np.flatnonzero(self.coeffs)).min(initial=self.n + 1))
+
 
 def make_family(name: str, n: int) -> BooleanFunction:
     """Named test families: constant_plus, parity, or_fn, majority (odd n only)."""

@@ -75,10 +75,11 @@ def certify_lower_bound(
 ) -> CertifiedBound:
     """Scan T = 0, 1, ... and refute every T whose norm clears the guard band.
 
-    A truncation T is refuted when norm + guard < 1/2 - eps with
-    guard = max(tol, residual); the returned lower_bound_t is the first
-    non-refuted T.  Norm values are nondecreasing in T (nested principal
-    submatrices), so nothing beyond the stopping point can be refuted.
+    A truncation T is refuted when a converged norm estimate plus tol lies
+    below 1/2 - eps (converged means residual <= tol); the returned
+    lower_bound_t is the first non-refuted T.  Norm values are
+    nondecreasing in T (nested principal submatrices), so nothing beyond
+    the stopping point can be refuted.
     Each truncation's operator comes from build_operator, which picks dense
     or matrix-free by cost, so the norms are estimates either way.  status
     is "certified" when every refuted T also has a proof that its norm lies
@@ -94,30 +95,26 @@ def certify_lower_bound(
     # one step down from the rounded difference is at most the exact 1/2 - eps
     tau = math.nextafter(threshold, 0.0)
     evidence: list[EvidenceEntry] = []
-    lower = g.n + 1  # unreachable: T = n always has norm 1
     proven = True
-    for t in range(g.n + 1):
+    for t in range(g.n + 1):  # T = n has norm 1, so the scan always breaks
         op = build_operator(g, t)
         est = spectral_norm(op, tol=tol, max_iter=max_iter)
-        guard = max(tol, est.residual)
-        refuted = est.converged and (est.value + guard < threshold)
+        refuted = est.converged and est.value + tol < threshold
         evidence.append(
             EvidenceEntry(t=t, norm=est.value, method=est.method,
                           converged=est.converged, residual=est.residual, refuted=refuted)
         )
         if not refuted:
-            lower = t
             break
         proven = proven and prove_norm_below(op, tau)
     status = "certified" if proven else "empirical"
-    t_stop = min(lower, g.n)
-    exponent = g.n * binary_entropy(t_stop / g.n)
-    entropy = EntropyReport(t=t_stop, b=binomial_sum(g.n, t_stop), exponent=exponent, bound=2.0 ** exponent)
+    exponent = g.n * binary_entropy(t / g.n)
+    entropy = EntropyReport(t=t, b=binomial_sum(g.n, t), exponent=exponent, bound=2.0 ** exponent)
     return CertifiedBound(
         f_descriptor=descriptor,
         n=g.n,
         eps=eps,
-        lower_bound_t=lower,
+        lower_bound_t=t,
         evidence=tuple(evidence),
         status=status,
         entropy=entropy,

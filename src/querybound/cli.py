@@ -83,8 +83,8 @@ def _load_function(args) -> tuple[boolfn.BooleanFunction, str]:
 # ---------------------------------------------------------------- vandam
 
 VANDAM_FIELDS = [
-    "schema_version", "subcommand", "n", "t", "eps", "reference_t", "x", "b",
-    "success_probability", "shots", "recovered_count", "recovered_frequency", "seed",
+    "n", "t", "eps", "reference_t", "x", "b", "success_probability", "shots",
+    "recovered_count", "recovered_frequency", "seed",
 ]
 
 
@@ -96,7 +96,6 @@ def cmd_vandam(args) -> tuple[list[str], list[dict], int]:
     ref = asymptotic_reference_t(n, args.eps) if args.eps is not None else None
     x = parse_bitstring(args.x) if args.x is not None else 0
     row = {
-        "schema_version": SCHEMA_VERSION, "subcommand": "vandam",
         "n": n, "t": t, "eps": args.eps, "reference_t": ref,
         "x": format_bitstring(x, n), "b": binomial_sum(n, t),
         "shots": None, "recovered_count": None, "recovered_frequency": None,
@@ -122,8 +121,8 @@ def cmd_vandam(args) -> tuple[list[str], list[dict], int]:
 # ------------------------------------------------------------------ norm
 
 NORM_FIELDS = [
-    "schema_version", "subcommand", "n", "t", "b", "function", "mode", "method",
-    "norm", "iterations", "residual", "converged", "tol", "max_iter", "seed",
+    "n", "t", "b", "function", "mode", "method", "norm", "iterations", "residual",
+    "converged", "tol", "max_iter", "seed",
 ]
 
 
@@ -137,7 +136,6 @@ def cmd_norm(args) -> tuple[list[str], list[dict], int]:
         op = build_operator(f, args.t)
     est = spectral_norm(op, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     row = {
-        "schema_version": SCHEMA_VERSION, "subcommand": "norm",
         "n": f.n, "t": args.t, "b": op.size, "function": desc,
         "mode": op.mode, "method": est.method,
         "norm": est.value, "iterations": est.iterations, "residual": est.residual,
@@ -154,7 +152,7 @@ def cmd_norm(args) -> tuple[list[str], list[dict], int]:
 # --------------------------------------------------------------- certify
 
 CERTIFY_FIELDS = [
-    "schema_version", "subcommand", "kind", "n", "eps", "trial", "function", "seed",
+    "kind", "n", "eps", "trial", "function", "seed",
     "lower_bound_t", "status", "upper_bound_t", "b_stop", "entropy_exponent",
     "entropy_bound", "norms", "min_lower_bound_t", "median_lower_bound_t",
     "max_lower_bound_t", "fraction_at_least_quarter_n", "tol", "max_iter",
@@ -163,9 +161,9 @@ CERTIFY_FIELDS = [
 
 def _certificate_row(bound, trial, upper) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION, "subcommand": "certify", "kind": "certificate",
-        "n": bound.n, "eps": bound.eps, "trial": trial, "function": bound.f_descriptor,
-        "seed": bound.seed, "lower_bound_t": bound.lower_bound_t, "status": bound.status,
+        "kind": "certificate", "n": bound.n, "eps": bound.eps, "trial": trial,
+        "function": bound.f_descriptor, "seed": bound.seed,
+        "lower_bound_t": bound.lower_bound_t, "status": bound.status,
         "upper_bound_t": upper, "b_stop": bound.entropy.b,
         "entropy_exponent": bound.entropy.exponent, "entropy_bound": bound.entropy.bound,
         "norms": json.dumps([e.norm for e in bound.evidence]),
@@ -173,11 +171,13 @@ def _certificate_row(bound, trial, upper) -> dict:
 
 
 def cmd_certify(args) -> tuple[list[str], list[dict], int]:
-    if args.trials is not None:  # 0 reaches certify_random_sweep, which rejects it
+    if args.trials is not None:  # a count below 1 reaches certify_random_sweep, which rejects it
         if args.seed is None:
             raise ValueError("--trials requires --seed")
         if args.n is None:
             raise ValueError("--trials requires --n")
+        if args.trials >= 1 and (args.family or args.function_file):
+            raise ValueError("--trials certifies random functions; add a family with --include-family")
         bounds, summary = certify_random_sweep(
             args.n, args.eps, args.trials, args.seed, tol=args.tol,
             max_iter=args.max_iter, include_family=args.include_family,
@@ -185,8 +185,7 @@ def cmd_certify(args) -> tuple[list[str], list[dict], int]:
         )
         upper = summary["upper_bound_t"]
         rows = [_certificate_row(bound, i, upper) for i, bound in enumerate(bounds)]
-        rows.append({"schema_version": SCHEMA_VERSION, "subcommand": "certify",
-                     "kind": "summary"} | summary)
+        rows.append({"kind": "summary"} | summary)
     else:
         f, desc = _load_function(args)
         bound = certify_lower_bound(f, args.eps, tol=args.tol, max_iter=args.max_iter,
@@ -201,8 +200,8 @@ def cmd_certify(args) -> tuple[list[str], list[dict], int]:
 # --------------------------------------------------------------- moments
 
 MOMENTS_FIELDS = [
-    "schema_version", "subcommand", "n", "t", "k", "b", "method", "function",
-    "value", "stderr", "bound_ratio", "trials", "seed",
+    "n", "t", "k", "b", "method", "function", "value", "stderr", "bound_ratio",
+    "trials", "seed",
 ]
 
 
@@ -212,6 +211,9 @@ def cmd_moments(args) -> tuple[list[str], list[dict], int]:
         f, desc = _load_function(args)
         report = trace_moment(f, args.t, args.k)
         n = f.n
+    elif args.family or args.function_file:
+        raise ValueError(f"--method {args.method} averages over random functions; "
+                         "--family and --function-file need --method exact")
     elif args.method == "exhaustive":
         if args.n is None:
             raise ValueError("--method exhaustive requires --n")
@@ -224,7 +226,6 @@ def cmd_moments(args) -> tuple[list[str], list[dict], int]:
                                           args.seed, threads=args.threads)
         n = args.n
     row = {
-        "schema_version": SCHEMA_VERSION, "subcommand": "moments",
         "n": n, "t": args.t, "k": args.k, "b": binomial_sum(n, args.t),
         "method": report.method, "function": desc,
         "value": report.value, "stderr": report.stderr,
@@ -237,7 +238,7 @@ def cmd_moments(args) -> tuple[list[str], list[dict], int]:
 # ---------------------------------------------------------- claim1-sweep
 
 CLAIM1_FIELDS = [
-    "schema_version", "subcommand", "kind", "n", "t", "t_rule", "b", "trials",
+    "kind", "n", "t", "t_rule", "b", "trials",
     "median_norm", "max_norm", "ref_scale", "ratio", "unconverged", "eps",
     "seed", "tol", "max_iter",
 ]
@@ -248,16 +249,14 @@ def cmd_claim1(args) -> tuple[list[str], list[dict], int]:
     rows = run_claim1_sweep(ns, args.t_rule, args.trials, args.seed, tol=args.tol,
                             max_iter=args.max_iter, threads=args.threads,
                             include_family=args.include_family)
-    head = {"schema_version": SCHEMA_VERSION, "subcommand": "claim1-sweep", "eps": args.eps}
-    return CLAIM1_FIELDS, [head | row for row in rows], 0
+    return CLAIM1_FIELDS, [row | {"eps": args.eps} for row in rows], 0
 
 
 # --------------------------------------------------------- claim2-verify
 
 CLAIM2_FIELDS = [
-    "schema_version", "subcommand", "mode", "n", "t", "m", "r", "parts", "b",
-    "total", "bound", "ratio", "budget", "trials", "seed", "tuple", "even",
-    "mean", "ok",
+    "mode", "n", "t", "m", "r", "parts", "b", "total", "bound", "ratio", "budget",
+    "trials", "seed", "tuple", "even", "mean", "ok",
 ]
 
 
@@ -271,7 +270,7 @@ def _parse_parts(text: str) -> PartitionSpec:
 
 
 def cmd_claim2(args) -> tuple[list[str], list[dict], int]:
-    base = {"schema_version": SCHEMA_VERSION, "subcommand": "claim2-verify", "n": args.n}
+    base = {"n": args.n}
     if args.evenness:
         if args.m is None or args.trials is None or args.seed is None:
             raise ValueError("--evenness requires --m, --trials and --seed")
@@ -395,7 +394,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         fieldnames, rows, code = args.fn(args)
-        write_rows(fieldnames, rows, args.format, args.out)
+        head = {"schema_version": SCHEMA_VERSION, "subcommand": args.command}
+        write_rows([*head, *fieldnames], [head | row for row in rows], args.format, args.out)
     except (ValueError, OSError) as e:  # OSError: an unreadable input or unwritable output file
         print(f"error: {e}", file=sys.stderr)
         return 1

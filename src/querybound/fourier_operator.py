@@ -158,9 +158,10 @@ def spectral_norm(
 ) -> NormEstimate:
     """Largest |eigenvalue| of the (symmetric) operator.
 
-    An operator whose entries fhat(s XOR t) are all zero returns 0.0 at once
-    in either mode, with the method name of that mode and 0 iterations.  The
-    test is exact, because the Walsh transform of a +-1 table is.  Otherwise
+    An operator whose entries fhat(s XOR t) are all zero, that is one with
+    2T below the spectrum's lowest_weight, returns 0.0 at once in either
+    mode, with the method name of that mode and 0 iterations.  The test is
+    exact, because the Walsh transform of a +-1 table is.  Otherwise
     dense mode uses a full symmetric eigendecomposition, and matrix-free mode
     runs Lanczos on the operator itself in two passes that keep no Krylov
     basis, so memory stays O(B).  The first pass runs the three-term
@@ -176,7 +177,7 @@ def spectral_norm(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if _is_zero_operator(op):
+    if 2 * op.t < fourier(op.f).lowest_weight:
         method = "lanczos" if op.dense_matrix is None else "dense_eigen"
         return NormEstimate(value=0.0, method=method, residual=0.0, iterations=0, converged=True)
     if op.dense_matrix is not None:
@@ -234,29 +235,18 @@ def _extreme_ritz_pair(alphas: list[float], betas: list[float]) -> tuple[float, 
     """Eigenpair of largest |theta| of the k x k tridiagonal matrix T_k."""
     k = len(alphas)
     tri = np.diag(alphas)
-    off = np.arange(k - 1)
-    tri[off, off + 1] = tri[off + 1, off] = betas[:k - 1]
+    np.fill_diagonal(tri[1:], betas[:k - 1])
+    np.fill_diagonal(tri[:, 1:], betas[:k - 1])
     vals, vecs = np.linalg.eigh(tri)
     i = int(np.argmax(np.abs(vals)))
     return float(vals[i]), vecs[:, i]
 
 
-def _is_zero_operator(op: TruncatedFourierOperator) -> bool:
-    """True when every entry fhat(s XOR t) is zero, i.e. fhat vanishes up to weight 2T.
-
-    The Walsh transform of a +-1 table sums integers and divides by a power
-    of two, so it is exact in float64 and so is this test.
-    """
-    coeffs = fourier(op.f).coeffs
-    weights = np.bitwise_count(np.arange(coeffs.shape[0], dtype=np.int64))
-    return not np.any(coeffs[weights <= 2 * op.t])
-
-
 def prove_norm_below(op: TruncatedFourierOperator, tau: float) -> bool:
     """True only if ||F_T|| < tau holds in exact arithmetic; False means no proof.
 
-    Two proofs are tried.  An operator that is exactly zero (see
-    _is_zero_operator) has norm 0.  Otherwise, for B <= DENSE_LIMIT, a
+    Two proofs are tried.  An operator that is exactly zero (2T below the
+    spectrum's lowest_weight) has norm 0.  Otherwise, for B <= DENSE_LIMIT, a
     floating-point Cholesky factorization of (tau I - F_T) - cI and one of
     (tau I + F_T) - cI that both run to completion prove tau I -+ F_T > 0, so
     every eigenvalue of F_T lies strictly inside (-tau, tau).  This is Rump,
@@ -277,7 +267,7 @@ def prove_norm_below(op: TruncatedFourierOperator, tau: float) -> bool:
     """
     if tau <= 0.0:
         return False
-    if _is_zero_operator(op):
+    if 2 * op.t < fourier(op.f).lowest_weight:
         return True
     b = op.size
     if b > DENSE_LIMIT:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from querybound.boolfn import derive_seeds, make_family, sample_uniform, write_truth_table
+from querybound import cli
 from querybound.cli import main, run_claim1_sweep
 from querybound.fourier_operator import build_dense
 
@@ -169,6 +171,25 @@ def test_unwritable_output_is_an_error(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "x.csv" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, hint",
+    [
+        (["certify", "--family", "majority", "--n", "7", "--eps", "0.1", "--trials", "2", "--seed", "1"],
+         "--include-family"),
+        (["moments", "--method", "exhaustive", "--family", "parity", "--n", "3", "--t", "1", "--k", "1"],
+         "--method exact"),
+        (["moments", "--method", "mc", "--function-file", "/nonexistent", "--n", "6", "--t", "2",
+          "--trials", "4", "--seed", "1"], "--method exact"),
+    ],
+    ids=["certify-trials", "moments-exhaustive", "moments-mc"],
+)
+def test_function_flags_a_mode_ignores_are_refused(argv, hint, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and hint in captured.err
+
+
 def test_certify_rejects_large_eps(tmp_path, capsys):
     code = main(["certify", "--family", "parity", "--n", "4", "--eps", "0.6"])
     assert code == 1
@@ -295,6 +316,19 @@ def test_threads_below_one_rejected(argv, threads, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: threads must be >= 1, got {threads}" in captured.err
+
+
+def test_schema_doc_lists_every_subcommands_columns():
+    fields = {"vandam": cli.VANDAM_FIELDS, "norm": cli.NORM_FIELDS, "certify": cli.CERTIFY_FIELDS,
+              "moments": cli.MOMENTS_FIELDS, "claim1-sweep": cli.CLAIM1_FIELDS,
+              "claim2-verify": cli.CLAIM2_FIELDS}
+    text = (GOLDEN_DIR.parent / "output-schemas.md").read_text()
+    documented = {
+        name: " ".join(columns.split()).split(", ")
+        for name, columns in re.findall(r"^### `([^`]+)`\n\n`([^`]+)`", text, flags=re.MULTILINE)
+    }
+    assert set(fields) == {case["argv"][0] for case in GOLDEN_CASES.values()}  # every subcommand
+    assert documented == {name: ["schema_version", "subcommand", *f] for name, f in fields.items()}
 
 
 def test_stdout_output(capsys):

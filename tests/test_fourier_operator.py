@@ -1,16 +1,27 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from querybound.boolfn import derive_seeds, make_family, sample_uniform
+from querybound.boolfn import (
+    FAMILIES,
+    BooleanFunction,
+    derive_seeds,
+    fourier,
+    make_family,
+    sample_uniform,
+)
 from querybound.fourier_operator import (
     DENSE_LIMIT,
     NormEstimate,
     build_dense,
     build_matrix_free,
     build_operator,
+    prove_norm_below,
     spectral_norm,
 )
 from querybound.transforms import binomial_sum, build_weight_index
@@ -241,3 +252,55 @@ def test_dense_zero_operator_skips_eigensolver_with_same_estimate():
                           residual=0.0, iterations=0, converged=True)
     assert spectral_norm(op) == oracle
     assert spectral_norm(build_dense(make_family("parity", 6), 2)) == oracle
+
+
+def test_warm_zero_test_allocates_no_table():
+    # parity at n = 20, T = 9: fhat vanishes below weight 20, so F_T is zero;
+    # a 2^20 weight table per call would take 1-8 MiB
+    op = build_matrix_free(make_family("parity", 20), 9)
+    spectral_norm(op)  # warms the spectrum and its lowest weight
+    tracemalloc.start()
+    try:
+        assert prove_norm_below(op, 0.4)
+        assert spectral_norm(op).value == 0.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+@st.composite
+def small_functions(draw):
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("subset_parity", "random", *FAMILIES)))
+    if kind == "subset_parity":
+        mask = draw(st.integers(0, (1 << n) - 1))
+        x = np.arange(1 << n, dtype=np.int64)
+        return BooleanFunction(n, 1.0 - 2.0 * (np.bitwise_count(x & mask) & 1))
+    if kind == "random":
+        return sample_uniform(n, draw(st.integers(0, 2**32 - 1)))
+    if kind == "majority" and n % 2 == 0:
+        n -= 1
+    return make_family(kind, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_functions(), st.data())
+def test_lowest_weight_decides_exactly_which_truncations_are_zero(f, data):
+    t = data.draw(st.integers(0, f.n))
+    is_zero = not np.any(build_dense(f, t).dense_matrix)
+    assert (2 * t < fourier(f).lowest_weight) == is_zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.data(), st.integers(0, 2**32 - 1),
+       st.sampled_from((1e-6, 1e-8, 1e-10)))
+def test_lanczos_value_lies_within_its_residual_of_an_eigenvalue(n, data, seed, tol):
+    # converged or not: for any unit y some eigenvalue lies within ||F_T y - theta y|| of theta;
+    # 1e-12 covers rounding in the residual and in eigvalsh
+    t = data.draw(st.integers(0, n))
+    f = sample_uniform(n, seed)
+    est = spectral_norm(build_matrix_free(f, t), tol=tol, seed=seed)
+    assert est.method == "lanczos"
+    eigs = np.linalg.eigvalsh(build_dense(f, t).dense_matrix)
+    assert np.min(np.abs(np.abs(eigs) - est.value)) <= est.residual + 1e-12

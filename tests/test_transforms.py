@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from querybound.boolfn import fourier, sample_uniform
 from querybound.transforms import (
@@ -85,6 +87,14 @@ def test_fwht_involution_and_parseval(n):
     assert math.isclose(float(w @ w), (1 << n) * float(v @ v), rel_tol=1e-12)
     fwht_in_place(w)
     assert np.max(np.abs(w - (1 << n) * v)) < 1e-12 * (1 << n) * np.max(np.abs(v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 2**32 - 1))
+def test_fwht_twice_is_exactly_2_to_the_n_on_sign_tables(n, seed):
+    signs = sample_uniform(n, seed).signs
+    twice = fwht_in_place(fwht_in_place(signs.copy()))
+    assert np.array_equal(twice, (1 << n) * signs)
 
 
 def test_fwht_in_place_returns_same_buffer():
