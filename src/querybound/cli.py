@@ -187,6 +187,8 @@ def cmd_certify(args) -> tuple[list[str], list[dict], int]:
         rows = [_certificate_row(bound, i, upper) for i, bound in enumerate(bounds)]
         rows.append({"kind": "summary"} | summary)
     else:
+        if args.include_family:
+            raise ValueError("--include-family adds a family to a random sweep; it needs --trials")
         f, desc = _load_function(args)
         bound = certify_lower_bound(f, args.eps, tol=args.tol, max_iter=args.max_iter,
                                     descriptor=desc)
@@ -207,6 +209,9 @@ MOMENTS_FIELDS = [
 
 def cmd_moments(args) -> tuple[list[str], list[dict], int]:
     desc = None
+    if args.method != "mc" and (args.trials is not None or args.seed is not None):
+        raise ValueError(f"--method {args.method} uses no randomness; "
+                         "--trials and --seed need --method mc")
     if args.method == "exact":
         f, desc = _load_function(args)
         report = trace_moment(f, args.t, args.k)

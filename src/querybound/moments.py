@@ -2,8 +2,9 @@
 
 Tr(F_T^{2k}) = sum_i lambda_i^{2k} controls the spectral norm through 2k-th
 roots, and its expectation over a uniformly random sign table is what makes
-the norm concentrate.  Everything here that claims exactness is computed in
-integer arithmetic and divided once at the end.
+the norm concentrate.  Everything here that claims exactness sums integers
+and divides once at the end; the exhaustive moments hold them in float64,
+kept below 2^53 by a guard on k, so every operation is exact.
 """
 
 from __future__ import annotations
@@ -54,10 +55,21 @@ def trace_moment(f: BooleanFunction, t: int, k: int) -> MomentReport:
 def expected_trace_moment_exhaustive(n: int, t: int, k: int) -> MomentReport:
     """Average Tr(F_T^{2k}) over every one of the 2^(2^n) sign tables, exactly.
 
-    Works on the integer matrix A = 2^n * F_T whose entries are Walsh sums,
-    so each trace is an exact integer; the single division at the end is
-    performed as a Fraction.  For k = 1 the result is a dyadic rational that
-    converts to float without rounding.
+    Works on the integer matrix A = 2^n * F_T, whose entries are Walsh sums
+    A[u, v] = sum_x (-1)^((u XOR v).x) f(x).  A is symmetric, so
+    Tr(A^{2k}) = ||A^k||_F^2: each chunk of tables forms P = A^k with k - 1
+    batched float64 products and sums P * P per table.  The single division
+    at the end is performed as a Fraction, so for k = 1 the result is a
+    dyadic rational that converts to float without rounding.
+
+    The values are integers held in float64, and the guard
+    chunk * B * m^(2k) < 2^63 (m = 2^n) keeps every one below 2^53, so no
+    operation rounds, in whatever order BLAS sums.  ||A|| <= m, so every
+    entry of A^j (j <= k) and every partial sum of its product, which is an
+    entry of A^(j-1) D A for a 0/1 diagonal D, is at most m^k < 2^26.  Every
+    partial sum of ||P||_F^2 is at most Tr(A^{2k}) <= B * m^(2k) < 2^51.  The
+    per-table sums are then converted to int64, and a chunk of them stays
+    below 2^63.
     """
     if n > _EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive expectation is limited to n <= {_EXHAUSTIVE_MAX_N}")
@@ -67,26 +79,22 @@ def expected_trace_moment_exhaustive(n: int, t: int, k: int) -> MomentReport:
     idx = build_weight_index(n, t)
     b = idx.size
     chunk = 1 << 12
-    # ||A|| <= m, so every partial sum inside the products and every diagonal
-    # entry of A^(2k) is at most m^(2k), and a chunk of traces sums to at
-    # most chunk * b * m^(2k).  Keep that inside int64.
     if chunk * b * m ** (2 * k) >= 2**63:
         raise ValueError(f"k={k} overflows the exact integer path at n={n}, t={t}")
     grid = np.arange(m, dtype=np.int64)
-    walsh = 1 - 2 * (np.bitwise_count(grid[:, None] & grid[None, :]) & 1).astype(np.int64)
+    walsh = 1.0 - 2.0 * (np.bitwise_count(grid[:, None] & grid[None, :]) & 1)
     xor_table = idx.strings[:, None] ^ idx.strings[None, :]
     total = 0
     n_funcs = 1 << m
     for start in range(0, n_funcs, chunk):
         fi = np.arange(start, min(start + chunk, n_funcs), dtype=np.int64)
-        signs = 1 - 2 * ((fi[:, None] >> grid[None, :]) & 1)
+        signs = 1.0 - 2.0 * ((fi[:, None] >> grid[None, :]) & 1)
         wf = signs @ walsh  # wf[j, s] = sum_x (-1)^(s.x) f_j(x)
-        a = wf[:, xor_table]
-        sq = a @ a
-        acc = sq
+        a = np.take(wf, xor_table, axis=1)  # C-contiguous (tables, B, B)
+        p = a
         for _ in range(k - 1):
-            acc = acc @ sq
-        total += int(np.trace(acc, axis1=1, axis2=2).sum())
+            p = p @ a
+        total += int(np.einsum("ijk,ijk->i", p, p).astype(np.int64).sum())
     exact = Fraction(total, n_funcs * m ** (2 * k))
     value = float(exact)
     return MomentReport(n=n, t=t, k=k, value=value, stderr=0.0,
@@ -248,9 +256,11 @@ def expected_sign_product(n: int, xs: tuple[int, ...]) -> float:
         raise ValueError(f"tuple entries must be {n}-bit points, got {xs}")
     n_funcs = 1 << (1 << n)
     fi = np.arange(n_funcs, dtype=np.int64)
-    bits = (fi[:, None] >> pts[None, :]) & 1
-    prods = np.prod(1 - 2 * bits, axis=1)
-    return int(prods.sum()) / n_funcs
+    acc = np.zeros_like(fi)  # bit 0 of acc[j]: parity of table j's bits at x_1 .. x_m
+    for x in pts:
+        acc ^= fi >> x
+    signs = 1 - 2 * (acc & 1)
+    return int(signs.sum()) / n_funcs
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,29 @@ def test_function_flags_a_mode_ignores_are_refused(argv, hint, capsys):
     assert captured.err.startswith("error: ") and hint in captured.err
 
 
+def test_single_function_certify_refuses_include_family(capsys):
+    code = main(["certify", "--family", "parity", "--n", "6", "--eps", "0.1",
+                 "--include-family", "majority"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "--trials" in captured.err
+
+
+@pytest.mark.parametrize("extra", [["--seed", "3"], ["--trials", "5"], ["--trials", "5", "--seed", "3"]],
+                         ids=["seed", "trials", "both"])
+@pytest.mark.parametrize(
+    "argv",
+    [["moments", "--method", "exact", "--family", "parity", "--n", "4", "--t", "1"],
+     ["moments", "--method", "exhaustive", "--n", "3", "--t", "1"]],
+    ids=["exact", "exhaustive"],
+)
+def test_exact_moments_refuse_seed_and_trials(argv, extra, capsys):
+    code = main(argv + extra)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "--method mc" in captured.err
+
+
 def test_certify_rejects_large_eps(tmp_path, capsys):
     code = main(["certify", "--family", "parity", "--n", "4", "--eps", "0.6"])
     assert code == 1

@@ -2,9 +2,12 @@ import csv
 import io
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from querybound.boolfn import BooleanFunction, make_family, sample_uniform
 from querybound.cli import main
@@ -227,7 +230,7 @@ def test_evenness_check_rejects_bad_args():
 
 
 def test_exhaustive_high_k_against_batched_eigvalsh(tmp_path):
-    # ||A|| <= 2^n keeps these inside int64; the oracle averages float64
+    # the k guard admits these (||A|| <= 2^n); the oracle averages float64
     # eigenvalue powers over all 65536 sign tables of n = 4
     n, t = 4, 3
     m = 1 << n
@@ -253,3 +256,72 @@ def test_exhaustive_high_k_against_batched_eigvalsh(tmp_path):
 def test_exhaustive_rejects_int64_overflow():
     with pytest.raises(ValueError, match="overflows"):
         expected_trace_moment_exhaustive(4, 4, 6)
+
+
+def _guard_max_k(n: int, t: int) -> int:
+    # largest k with 2^12 * B * 2^(2nk) < 2^63, the guard's own inequality
+    b, k = binomial_sum(n, t), 1
+    while (1 << 12) * b * (1 << (2 * n * (k + 1))) < 2**63:
+        k += 1
+    return k
+
+
+def _integer_matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*y))
+    return [[sum(a * c for a, c in zip(row, col)) for col in cols] for row in x]
+
+
+def _fraction_trace_moment(n: int, t: int, k: int) -> Fraction:
+    """Average Tr(F_T^{2k}) over all sign tables with Python integers only."""
+    m = 1 << n
+    strings = [s for s in range(m) if s.bit_count() <= t]
+    total = 0
+    for code in range(1 << m):
+        f = [1 - 2 * ((code >> x) & 1) for x in range(m)]
+        wf = [sum(f[x] * (1 - 2 * ((s & x).bit_count() & 1)) for x in range(m)) for s in range(m)]
+        a = [[wf[u ^ v] for v in strings] for u in strings]
+        power, base, e = None, a, 2 * k
+        while e:
+            if e & 1:
+                power = base if power is None else _integer_matmul(power, base)
+            e >>= 1
+            if e:
+                base = _integer_matmul(base, base)
+        total += sum(power[i][i] for i in range(len(strings)))
+    return Fraction(total, (1 << m) * m ** (2 * k))
+
+
+@st.composite
+def _guarded_moment_case(draw):
+    n = draw(st.integers(1, 3))
+    t = draw(st.integers(0, n))
+    return n, t, draw(st.integers(1, _guard_max_k(n, t)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_guarded_moment_case())
+def test_exhaustive_equals_fraction_oracle(case):
+    n, t, k = case
+    exact = _fraction_trace_moment(n, t, k)
+    rep = expected_trace_moment_exhaustive(n, t, k)
+    assert rep.value == float(exact)
+    with pytest.raises(ValueError, match="overflows"):
+        expected_trace_moment_exhaustive(n, t, _guard_max_k(n, t) + 1)
+
+
+@pytest.mark.parametrize(
+    "t, k, value",
+    [(0, 2, 0.01123046875), (1, 1, 1.5625), (1, 4, 0.5147263407707214),
+     (2, 3, 6.6591033935546875), (3, 1, 14.0625), (4, 2, 16.0)],
+)
+def test_exhaustive_n4_benchmark_cases_pinned(t, k, value):
+    assert expected_trace_moment_exhaustive(4, t, k).value == value
+
+
+@pytest.mark.parametrize(
+    "t, k, value",
+    [(1, 6, 0.3648919949773699), (3, 5, 14.000582434237003), (4, 5, 16.0)],
+)
+def test_exhaustive_n4_guard_edge_pinned(t, k, value):
+    assert k == _guard_max_k(4, t)
+    assert expected_trace_moment_exhaustive(4, t, k).value == value
