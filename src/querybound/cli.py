@@ -101,6 +101,8 @@ def cmd_vandam(args) -> tuple[list[str], list[dict], int]:
         "shots": None, "recovered_count": None, "recovered_frequency": None,
         "seed": None,
     }
+    if args.shots is None and args.seed is not None:
+        raise ValueError("--seed seeds the sampled measurements; it needs --shots")
     if args.shots is not None:  # 0 reaches simulate_sampled, which rejects it
         if args.seed is None:
             raise ValueError("--shots requires --seed")
@@ -189,6 +191,8 @@ def cmd_certify(args) -> tuple[list[str], list[dict], int]:
     else:
         if args.include_family:
             raise ValueError("--include-family adds a family to a random sweep; it needs --trials")
+        if args.seed is not None:
+            raise ValueError("--seed seeds a random sweep; it needs --trials")
         f, desc = _load_function(args)
         bound = certify_lower_bound(f, args.eps, tol=args.tol, max_iter=args.max_iter,
                                     descriptor=desc)
@@ -279,6 +283,8 @@ def cmd_claim2(args) -> tuple[list[str], list[dict], int]:
     if args.evenness:
         if args.m is None or args.trials is None or args.seed is None:
             raise ValueError("--evenness requires --m, --trials and --seed")
+        if args.t is not None or args.parts:
+            raise ValueError("--t and --parts set a partition sum, which runs without --evenness")
         report = evenness_check(args.n, args.m, args.trials, args.seed)
         rows = [
             base | {
@@ -289,6 +295,8 @@ def cmd_claim2(args) -> tuple[list[str], list[dict], int]:
             for e in report.entries
         ]
         return CLAIM2_FIELDS, rows, 0 if report.all_ok else 1
+    if args.trials is not None or args.seed is not None:
+        raise ValueError("--trials and --seed sample tuples; they need --evenness")
     if args.t is None:
         raise ValueError("partition mode requires --t")
     if args.parts:

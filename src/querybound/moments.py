@@ -4,7 +4,10 @@ Tr(F_T^{2k}) = sum_i lambda_i^{2k} controls the spectral norm through 2k-th
 roots, and its expectation over a uniformly random sign table is what makes
 the norm concentrate.  Everything here that claims exactness sums integers
 and divides once at the end; the exhaustive moments hold them in float64,
-kept below 2^53 by a guard on k, so every operation is exact.
+kept below 2^53 by a guard on k, so every operation is exact.  The
+partition sign sum behind the higher moments is summed over point tuples
+only: the sum over each weight-<= t string collapses to one value of a
+single Walsh transform, an exact integer.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .boolfn import BooleanFunction, derive_seeds, map_trials, sample_uniform
 from .fourier_operator import build_dense
-from .transforms import build_weight_index, binomial_sum
+from .transforms import binomial_sum, build_weight_index, check_bits, fwht_in_place, walsh_matrix
 
 _EXHAUSTIVE_MAX_N = 4  # 2^(2^4) = 65536 sign tables is the largest exhaustible space
 _CLAIM2_BUDGET = 10**8
@@ -82,7 +85,7 @@ def expected_trace_moment_exhaustive(n: int, t: int, k: int) -> MomentReport:
     if chunk * b * m ** (2 * k) >= 2**63:
         raise ValueError(f"k={k} overflows the exact integer path at n={n}, t={t}")
     grid = np.arange(m, dtype=np.int64)
-    walsh = 1.0 - 2.0 * (np.bitwise_count(grid[:, None] & grid[None, :]) & 1)
+    walsh = walsh_matrix(n)
     xor_table = idx.strings[:, None] ^ idx.strings[None, :]
     total = 0
     n_funcs = 1 << m
@@ -154,91 +157,61 @@ class Claim2Result:
     m: int
     r: int
     b: int
-    total: int  # exact signed enumeration value
+    total: int  # exact value of the signed sum
     bound: int  # B^(m-r+1) * 2^(nr)
-    budget: int  # enumeration work, B^m * 2^(nr)
-
-
-def _distinct_sign_sum(rows: list[np.ndarray]) -> int:
-    """Sum over tuples of pairwise distinct cube points of the row-sign product.
-
-    rows[j][x] is (-1)^(t_j . x), possibly zeroed where a value is already
-    taken by an outer coordinate; zero entries drop exactly the excluded
-    tuples, which keeps the filtering explicit.
-    """
-    if len(rows) == 1:
-        return int(rows[0].sum())
-    if len(rows) == 2:
-        grid = np.outer(rows[0], rows[1])
-        np.fill_diagonal(grid, 0)
-        return int(grid.sum())
-    total = 0
-    for x in range(rows[0].shape[0]):
-        s = int(rows[0][x])
-        if s == 0:
-            continue
-        sub = []
-        for row in rows[1:]:
-            masked = row.copy()
-            masked[x] = 0
-            sub.append(masked)
-        total += s * _distinct_sign_sum(sub)
-    return total
+    budget: int  # terms of the sum as defined, B^m * 2^(nr)
 
 
 def claim2_bruteforce(n: int, t: int, spec: PartitionSpec) -> Claim2Result:
-    """Exact enumeration of the partition-indexed sign sum.
+    """Exact value of the partition-indexed sign sum, as one Walsh transform.
 
-    For every tuple (s_1..s_m) of weight-<= t strings, form
-    e_i = s_i XOR s_{i+1} (cyclically) and t_j = XOR of e_i over part j;
-    then sum (-1)^(sum_j t_j . x_j) over all tuples of pairwise-distinct
-    x_1..x_r.  With a single part the cyclic telescoping forces t_1 = 0 and
-    the result is exactly B^m * 2^n; general partitions are what the moment
-    bound's induction controls, so the exact value is reported next to
+    As defined, the sum runs over every tuple (s_1..s_m) of weight-<= t
+    strings: with e_i = s_i XOR s_{i+1} (cyclically) and t_j the XOR of e_i
+    over part j, it adds (-1)^(sum_j t_j . x_j) over all tuples of
+    pairwise-distinct x_1..x_r.  Let p(i) be the part that holds i, with
+    p(0) = p(m).  Then, mod 2,
+
+        sum_j t_j . x_j = sum_i (s_i XOR s_{i+1}) . x_p(i)
+                        = sum_i s_i . (x_p(i) XOR x_p(i-1)),
+
+    so summing each s_i on its own gives
+
+        total = sum over distinct (x_1..x_r) of prod_i K(x_p(i) XOR x_p(i-1)),
+
+    with K(z) = sum_{|s| <= t} (-1)^(s.z), the Walsh transform of the
+    weight-<= t indicator.  K is exact in float64 and |K| <= B, so every
+    product is an int64 of at most B^m.  The product depends only on XORs of
+    the x_j, so shifting every x_j by one point keeps it: the sum is 2^n times
+    its part with x_1 = 0.  With a single part every XOR is 0 and the total is
+    exactly B^m * 2^n; general partitions are what the moment bound's
+    induction controls, so the exact value is reported next to
     B^(m-r+1) * 2^(nr).
     """
-    idx = build_weight_index(n, t)
-    b = idx.size
+    check_bits(n)
+    b = binomial_sum(n, t)
     m, r = spec.m, spec.r
     budget = b**m * (1 << (n * r))
     if budget > _CLAIM2_BUDGET:
         raise ValueError(f"enumeration needs {budget} > {_CLAIM2_BUDGET} elementary terms")
-    strings = idx.strings
     cube = np.arange(1 << n, dtype=np.int64)
+    kernel = fwht_in_place((np.bitwise_count(cube) <= t).astype(np.float64)).astype(np.int64)
+    part_of = {i: j for j, part in enumerate(spec.parts) for i in part}
+    edges = [(part_of[i], part_of[(i - 2) % m + 1]) for i in range(1, m + 1)]
 
-    # Group s-tuples by their t-vector; the inner x-sum depends only on it.
-    t_counts: Counter[tuple[int, ...]] = Counter()
-    n_tuples = b**m
+    total = 0
+    n_tuples = 1 << (n * (r - 1))
     chunk = 1 << 16
     for start in range(0, n_tuples, chunk):
         ids = np.arange(start, min(start + chunk, n_tuples), dtype=np.int64)
-        s_vals = [strings[(ids // b**j) % b] for j in range(m)]
-        e_vals = [s_vals[i] ^ s_vals[(i + 1) % m] for i in range(m)]
-        t_cols = []
-        for part in spec.parts:
-            acc = np.zeros_like(ids)
-            for i in part:
-                acc ^= e_vals[i - 1]
-            t_cols.append(acc)
-        stacked = np.stack(t_cols, axis=1)
-        uniq, counts = np.unique(stacked, axis=0, return_counts=True)
-        for row, c in zip(uniq, counts):
-            t_counts[tuple(int(v) for v in row)] += int(c)
-
-    row_cache: dict[int, np.ndarray] = {}
-
-    def sign_row(tv: int) -> np.ndarray:
-        got = row_cache.get(tv)
-        if got is None:
-            # bitwise_count yields uint8; promote before negating
-            parity = (np.bitwise_count(cube & tv) & 1).astype(np.int64)
-            got = 1 - 2 * parity
-            row_cache[tv] = got
-        return got
-
-    total = 0
-    for tvec, count in t_counts.items():
-        total += count * _distinct_sign_sum([sign_row(tv) for tv in tvec])
+        xs = [np.zeros_like(ids)] + [(ids >> (n * j)) & ((1 << n) - 1) for j in range(r - 1)]
+        terms = np.ones_like(ids)
+        for j in range(r):
+            for i in range(j):
+                terms *= xs[j] != xs[i]
+        for j, i in edges:
+            terms *= kernel[xs[j] ^ xs[i]]
+        total += int(terms.sum())
+    total <<= n
     bound = b ** (m - r + 1) * (1 << (n * r))
     return Claim2Result(n=n, t=t, m=m, r=r, b=b, total=total, bound=bound, budget=budget)
 
@@ -288,8 +261,6 @@ def evenness_check(n: int, m: int, trials: int, seed: int) -> EvennessReport:
     """
     if m < 1 or m > 6:
         raise ValueError(f"m must lie in 1..6, got {m}")
-    if n > _EXHAUSTIVE_MAX_N:
-        raise ValueError(f"evenness check is limited to n <= {_EXHAUSTIVE_MAX_N}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,8 +21,6 @@ import numpy as np
 # Largest Kronecker factor of the transform, in bits: 6 measured fastest for
 # n in 13..24; factors of 5, 7 and 8 bits were each slower somewhere there.
 _FACTOR_BITS = 6
-
-_walsh_cache: dict[int, np.ndarray] = {}
 
 # Largest n for which a whole 2^n table is built: 2^26 doubles are 512 MiB.
 MAX_BITS = 26
@@ -33,15 +32,13 @@ def check_bits(n: int) -> None:
         raise ValueError(f"n must lie in 1..{MAX_BITS}, got {n}")
 
 
-def _walsh_block(b: int) -> np.ndarray:
-    """Dense 2^b x 2^b Walsh matrix of +-1 entries (float64)."""
-    got = _walsh_cache.get(b)
-    if got is None:
-        idx = np.arange(1 << b, dtype=np.uint32)
-        par = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
-        got = (1.0 - 2.0 * par).astype(np.float64)
-        _walsh_cache[b] = got
-    return got
+@functools.cache
+def walsh_matrix(b: int) -> np.ndarray:
+    """Dense 2^b x 2^b Walsh matrix of +-1 entries (float64), shared, so read-only."""
+    idx = np.arange(1 << b, dtype=np.uint32)
+    w = 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1)
+    w.flags.writeable = False
+    return w
 
 
 def fwht_in_place(v: np.ndarray) -> np.ndarray:
@@ -69,10 +66,10 @@ def fwht_in_place(v: np.ndarray) -> np.ndarray:
         c = n // k + (i < n % k)
         if low == 0:
             grid = v.reshape(-1, 1 << c)
-            grid[:] = grid @ _walsh_block(c)
+            grid[:] = grid @ walsh_matrix(c)
         else:
             grid = v.reshape(-1, 1 << c, 1 << low)
-            grid[:] = _walsh_block(c) @ grid
+            grid[:] = walsh_matrix(c) @ grid
         low += c
     return v
 

@@ -180,8 +180,18 @@ def test_unwritable_output_is_an_error(tmp_path, capsys):
          "--method exact"),
         (["moments", "--method", "mc", "--function-file", "/nonexistent", "--n", "6", "--t", "2",
           "--trials", "4", "--seed", "1"], "--method exact"),
+        (["claim2-verify", "--n", "3", "--t", "1", "--m", "2", "--trials", "5"], "--evenness"),
+        (["claim2-verify", "--n", "3", "--t", "1", "--parts", "1,2|3,4", "--seed", "3"], "--evenness"),
+        (["claim2-verify", "--n", "3", "--evenness", "--m", "4", "--trials", "5", "--seed", "3",
+          "--t", "1"], "--evenness"),
+        (["claim2-verify", "--n", "3", "--evenness", "--m", "4", "--trials", "5", "--seed", "3",
+          "--parts", "1,2|3,4"], "--evenness"),
+        (["vandam", "--n", "4", "--t", "2", "--seed", "3"], "--shots"),
+        (["certify", "--family", "parity", "--n", "6", "--eps", "0.1", "--seed", "3"], "--trials"),
     ],
-    ids=["certify-trials", "moments-exhaustive", "moments-mc"],
+    ids=["certify-trials", "moments-exhaustive", "moments-mc", "claim2-partition-trials",
+         "claim2-partition-seed", "claim2-evenness-t", "claim2-evenness-parts", "vandam-seed",
+         "certify-seed"],
 )
 def test_function_flags_a_mode_ignores_are_refused(argv, hint, capsys):
     code = main(argv)

@@ -284,6 +284,27 @@ def small_functions(draw):
     return make_family(kind, n)
 
 
+@st.composite
+def random_or_family_functions(draw):
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("random", *FAMILIES)))
+    if kind == "random":
+        return sample_uniform(n, draw(st.integers(0, 2**32 - 1)))
+    if kind == "majority" and n % 2 == 0:
+        n -= 1
+    return make_family(kind, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_or_family_functions())
+def test_dense_norms_are_nondecreasing_in_t(f):
+    # F_T is a compression of F_{T+1}, and F_n is a reflection
+    norms = [spectral_norm(build_dense(f, t)).value for t in range(f.n + 1)]
+    assert all(v <= 1 + 1e-12 for v in norms)
+    for lo, hi in zip(norms, norms[1:]):
+        assert hi >= lo - 1e-12
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_functions(), st.data())
 def test_lowest_weight_decides_exactly_which_truncations_are_zero(f, data):

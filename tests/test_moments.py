@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -171,6 +172,11 @@ def bruteforce_oracle(n, t, spec):
         (2, 1, ((1, 2), (3, 4), (5, 6))),
         (2, 1, ((1, 3), (2, 4, 5))),
         (3, 2, ((1,), (2, 3))),
+        (3, 0, ((1, 2), (3,))),  # t = 0: K is 1 everywhere
+        (2, 2, ((1,), (2, 3))),  # t = n: K is 2^n at 0, else 0
+        (2, 1, ((1,), (2,), (3,))),  # all singletons
+        (3, 2, ((1,),)),  # m = 1
+        (2, 1, ((1, 3), (2, 4))),  # interleaved parts
     ],
 )
 def test_claim2_matches_literal_enumeration(n, t, parts):
@@ -189,6 +195,21 @@ def test_claim2_two_part_value_within_bound():
 def test_claim2_budget_guard():
     with pytest.raises(ValueError, match="budget|terms"):
         claim2_bruteforce(8, 8, PartitionSpec.single(4))
+
+
+def test_claim2_refusal_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="terms"):
+            claim2_bruteforce(26, 26, PartitionSpec.single(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError):
+        claim2_bruteforce(0, 0, PartitionSpec.single(2))
+    with pytest.raises(ValueError):
+        claim2_bruteforce(3, 4, PartitionSpec.single(2))
 
 
 def test_expected_sign_product_cases():
