@@ -175,10 +175,18 @@ def test_spectral_norm_rejects_bad_tol():
         spectral_norm(build_matrix_free(sample_uniform(5, 0), 2), tol=0.0)
 
 
-def _golden_truncations():
-    """(n, T) of every norm and certify golden: norm at its --t, certify at every T."""
+_MATRIX_FREE_GOLDENS = {"certify-matrix-free"}  # pins certify's bytes past the dense rule
+
+
+def _golden_truncations(names=None):
+    """(n, T) of every norm and certify golden: norm at its --t, certify at every T.
+
+    names=None takes every golden except the deliberately matrix-free ones.
+    """
     cases = json.loads((Path(__file__).parent.parent / "docs" / "golden" / "cases.json").read_text())
-    for case in cases.values():
+    for name, case in cases.items():
+        if name not in (names or set(cases) - _MATRIX_FREE_GOLDENS):
+            continue
         argv = case["argv"]
         if argv[0] in ("norm", "certify"):
             n = int(argv[argv.index("--n") + 1])
@@ -194,6 +202,9 @@ def test_build_operator_picks_dense_by_cost():
     assert {n for n, _ in goldens} == {6, 8}
     for n, t in goldens:
         assert build_operator(make_family("constant_plus", n), t).mode == "dense", (n, t)
+    # the matrix-free certify golden stops its random trials at T = 4 (B = 1471)
+    assert {n for n, _ in _golden_truncations(_MATRIX_FREE_GOLDENS)} == {14}
+    assert build_operator(make_family("constant_plus", 14), 4).mode == "matrix_free"
     # B = 2^(n-1) is dense while it fits (n = 13, T = 6 is B = 4096), never past the cap
     assert build_operator(sample_uniform(13, 0), 6).mode == "dense"
     for n in range(12, 17):
