@@ -39,7 +39,11 @@ DENSE_LIMIT = 4096
 #                                               B = 3473 4.1 vs 0.09 s (Lanczos)
 #   n = 16: B =  697 0.032 vs 0.141 s (dense) | B = 2517 1.58 vs 0.23 s (Lanczos)
 #   n = 18: B =  988 0.116 vs 1.13 s (dense)  | B = 4048 6.37 vs 1.45 s (Lanczos)
-# The rule is a pure function of (n, B), so a rerun never changes mode.
+# The rule is a pure function of (n, B), so a rerun never changes mode.  A
+# certificate's stopping T now runs only the first pass (spectral_norm's
+# threshold), but the model still counts two passes on purpose: the mode of a
+# truncation never depends on the caller.  Refitting it is left to the O(k)
+# Ritz check, which changes both terms.
 _C_DENSE = 1e-10
 _C_STEP = 5e-5
 _C_POINT = 6e-9
@@ -133,7 +137,9 @@ def build_operator(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
     Dense only when B = binomial_sum(n, t) fits DENSE_LIMIT and c B^3 for
     eigvalsh is at most the modelled cost of two-pass Lanczos (see _C_DENSE).
     For n <= 8 every T is dense; n = 16 is dense up to T = 3 (B = 697) and
-    matrix-free from T = 4 (B = 2517).
+    matrix-free from T = 4 (B = 2517).  The model counts two Lanczos passes
+    even where a certificate's stopping T runs one, so the mode depends on
+    (n, B) alone and never on the caller.
     """
     n, b = f.n, binomial_sum(f.n, t)
     if b <= DENSE_LIMIT and _dense_is_cheaper(n, b):
@@ -155,6 +161,8 @@ def spectral_norm(
     tol: float = 1e-8,
     max_iter: int = 10000,
     seed: int = 0,
+    *,
+    threshold: float | None = None,
 ) -> NormEstimate:
     """Largest |eigenvalue| of the (symmetric) operator.
 
@@ -172,6 +180,17 @@ def spectral_norm(
     more: the reported residual is ||F_T y - theta y||, so some eigenvalue
     lies within it of theta, and converged means residual <= tol.  |theta|
     can only undershoot the norm.  `iterations` counts first-pass steps.
+
+    A caller that only asks whether value + tol < threshold passes that
+    threshold.  When the first pass's |theta| + tol already reaches it, the
+    answer is no whatever the replay would find, so the replay is skipped:
+    the reported residual is then the first-pass estimate |beta_k s_k|, and
+    converged means that estimate is <= tol.  value and iterations are the
+    same as without threshold, and a run that can still fall below it keeps
+    the replay and the explicit residual.  certify passes its 1/2 - eps, so
+    a certificate's stopping T runs one pass; its CLI rows print only the
+    norms, which do not change.  The norm and claim1-sweep rows pass no
+    threshold and report the explicit residual.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -197,9 +216,13 @@ def spectral_norm(
         # stops here before the recurrence divides by beta.
         if k % _CHECK_EVERY == 0 or k == max_iter or beta <= _MARGIN * tol:
             theta, s = _extreme_ritz_pair(alphas, betas)
-            if abs(beta * s[-1]) <= _MARGIN * tol or k == max_iter:
+            estimate = abs(beta * s[-1])
+            if estimate <= _MARGIN * tol or k == max_iter:
                 break
 
+    if threshold is not None and abs(theta) + tol >= threshold:
+        return NormEstimate(value=abs(theta), method="lanczos", residual=estimate,
+                            iterations=k, converged=estimate <= tol)
     y = np.zeros(op.size)
     # s goes first so that zip stops before the replay computes step k + 1.
     for s_j, (q, _, _) in zip(s, _lanczos(op, start)):

@@ -259,6 +259,8 @@ def evenness_check(n: int, m: int, trials: int, seed: int) -> EvennessReport:
     with fully random ones, and verifies the enumerated mean is exactly 1
     for even multiplicity patterns and exactly 0 otherwise.
     """
+    if n > _EXHAUSTIVE_MAX_N:  # before sampling, which cannot draw 2^n points past n = 62
+        raise ValueError(f"exhaustive product is limited to n <= {_EXHAUSTIVE_MAX_N}")
     if m < 1 or m > 6:
         raise ValueError(f"m must lie in 1..6, got {m}")
     if trials < 1:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from querybound import boolfn, cli
+from querybound import boolfn, certify, cli, fourier_operator
 from querybound.boolfn import BooleanFunction, derive_seeds, make_family, sample_uniform
 from querybound.certify import certify_lower_bound, certify_random_sweep, run_claim1_sweep
 from querybound.interrogation import choose_t
@@ -132,8 +132,6 @@ def test_claim1_sweep_lives_in_the_library():
 
 
 def test_sweep_rejects_zero_threads_before_sampling(monkeypatch):
-    import querybound.certify as certify
-
     def no_tables(*args):
         raise AssertionError("a sign table was built before threads was checked")
 
@@ -150,13 +148,40 @@ def test_sweep_threads_match_serial():
     assert [b.f_descriptor for b in serial] == [b.f_descriptor for b in threaded]
 
 
+def _count_norm_work(monkeypatch) -> tuple[list, list]:
+    """Record the operator's FWHT calls and every norm estimate certify_lower_bound gets."""
+    calls, estimates = [], []
+    fwht, norm = fourier_operator.fwht_in_place, certify.spectral_norm
+    monkeypatch.setattr(fourier_operator, "fwht_in_place", lambda v: calls.append(v.shape) or fwht(v))
+    monkeypatch.setattr(certify, "spectral_norm", lambda *a, **kw: estimates.append(norm(*a, **kw)) or estimates[-1])
+    return calls, estimates
+
+
+def test_stopping_truncation_runs_one_lanczos_pass(monkeypatch):
+    # T = 0..3 are dense; T = 4 (B = 1471) is the matrix-free stopping point,
+    # k first-pass steps of one apply (two FWHTs) each and no replay
+    calls, estimates = _count_norm_work(monkeypatch)
+    bound = certify_lower_bound(sample_uniform(14, 1), 0.1)
+    last, k = bound.evidence[-1], estimates[-1].iterations
+    assert bound.lower_bound_t == 4 and last.method == "lanczos" and not last.refuted
+    assert k > 0 and len(calls) == 2 * k  # the replay would add 2 (k + 1)
+    assert last.converged and last.residual <= 1e-8
+
+
 @pytest.mark.parametrize("n", [17, 18])
-def test_lanczos_refutation_below_dense_cap_stays_certified(n):
+def test_lanczos_refutation_below_dense_cap_stays_certified(n, monkeypatch):
     # T = 4 (B = 3214, 4048) is matrix-free; its refutation is proven by Cholesky
+    calls, estimates = _count_norm_work(monkeypatch)
     bound = certify_lower_bound(sample_uniform(n, 0), 0.1)
     assert bound.lower_bound_t == 5
-    assert bound.evidence[4].method == "lanczos" and bound.evidence[4].refuted
+    refuted, last = bound.evidence[4], bound.evidence[5]
+    assert refuted.method == "lanczos" and refuted.refuted
     assert bound.status == "certified"
+    # the refuted T replays for the explicit residual (k + 1 more applies), the stopping T does not
+    assert refuted.converged and refuted.residual <= 1e-8
+    assert last.method == "lanczos" and not last.refuted
+    k_refuted, k_last = estimates[4].iterations, estimates[5].iterations
+    assert len(calls) == 2 * (2 * k_refuted + 1) + 2 * k_last
 
 
 def test_refutation_past_dense_cap_is_empirical():

@@ -302,6 +302,15 @@ def test_claim2_evenness_rows(tmp_path):
     assert text == text2
 
 
+@pytest.mark.parametrize("n", [5, 62, 63, 70])
+def test_claim2_evenness_names_the_n_limit(n, capsys):
+    # n >= 63 used to reach the sampler first and fail on numpy's int64 bounds
+    code = main(["claim2-verify", "--n", str(n), "--evenness", "--m", "4", "--trials", "2", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: exhaustive product is limited to n <= 4\n"
+
+
 def test_csv_and_json_carry_identical_data(tmp_path):
     base = ["certify", "--family", "parity", "--n", "6", "--eps", "0.1"]
     _, csv_text = run_cli(tmp_path, [*base, "--format", "csv"], "a.csv")

@@ -170,6 +170,30 @@ def test_power_iteration_deterministic_per_seed():
     assert a == b
 
 
+def test_spectral_norm_default_replays_as_before():
+    # pinned before spectral_norm took a threshold; FWHT digits do not depend on BLAS threads
+    est = spectral_norm(build_matrix_free(sample_uniform(12, 5), 4))
+    assert (est.value, est.iterations, est.residual, est.converged) == (
+        0.8578848603370927, 60, 3.1211602564716925e-09, True)
+
+
+def test_threshold_skips_only_the_replay():
+    op = build_matrix_free(sample_uniform(12, 5), 4)
+    full = spectral_norm(op)
+    # value + tol reaches the threshold, so no replay: the first-pass estimate stands in
+    short = spectral_norm(op, threshold=full.value)
+    assert (short.value, short.iterations, short.method) == (full.value, full.iterations, "lanczos")
+    assert short.converged and short.residual <= 1e-8 / 2
+    assert short.residual == pytest.approx(full.residual, rel=1e-4)
+    # a threshold the value could still fall below keeps the replay and its explicit residual
+    assert spectral_norm(op, threshold=full.value + 1e-6) == full
+    # the dense and exactly-zero paths ignore it
+    dense = build_dense(sample_uniform(8, 5), 3)
+    assert spectral_norm(dense, threshold=0.0) == spectral_norm(dense)
+    zero = build_matrix_free(make_family("parity", 6), 2)
+    assert spectral_norm(zero, threshold=1.0) == spectral_norm(zero)
+
+
 def test_spectral_norm_rejects_bad_tol():
     with pytest.raises(ValueError):
         spectral_norm(build_matrix_free(sample_uniform(5, 0), 2), tol=0.0)
