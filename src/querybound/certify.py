@@ -97,12 +97,13 @@ def certify_lower_bound(
     B <= DENSE_LIMIT two verified Cholesky factorizations), else
     "empirical".  A refutation past DENSE_LIMIT with a nonzero operator
     stays empirical: a Ritz value can only undershoot the true norm.
-    Every norm is asked against the threshold (spectral_norm's threshold),
-    so a Lanczos T that cannot be refuted, the stopping one, runs a single
-    pass: its evidence residual and converged come from the first-pass
-    estimate, while a refuted T carries the explicit residual.  The CLI
-    prints only the norms, so certify's bytes do not change; the norm and
-    claim1-sweep rows still report the explicit residual.
+    Each norm is computed with spectral_norm's threshold = 1/2 - eps, so a
+    Lanczos T that cannot be refuted, the stopping one, runs a single pass:
+    its evidence residual and converged come from the first-pass estimate,
+    while a refuted T carries the explicit residual.  The CLI prints only
+    the norms, which are the same either way, so certify's bytes do not
+    depend on it; the norm and claim1-sweep rows still report the explicit
+    residual.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")

@@ -152,8 +152,13 @@ def _count_norm_work(monkeypatch) -> tuple[list, list]:
     """Record the operator's FWHT calls and every norm estimate certify_lower_bound gets."""
     calls, estimates = [], []
     fwht, norm = fourier_operator.fwht_in_place, certify.spectral_norm
+
+    def recorded_norm(*args, **kwargs):
+        estimates.append(norm(*args, **kwargs))
+        return estimates[-1]
+
     monkeypatch.setattr(fourier_operator, "fwht_in_place", lambda v: calls.append(v.shape) or fwht(v))
-    monkeypatch.setattr(certify, "spectral_norm", lambda *a, **kw: estimates.append(norm(*a, **kw)) or estimates[-1])
+    monkeypatch.setattr(certify, "spectral_norm", recorded_norm)
     return calls, estimates
 
 
