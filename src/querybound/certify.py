@@ -39,7 +39,8 @@ class EvidenceEntry:
     residual is the first-pass estimate |beta_k s_k| and converged means the
     estimate is <= tol.  The CLI prints only the norms, so certify's bytes
     are the same either way; the norm and claim1-sweep rows still report
-    the explicit residual.
+    the explicit residual.  iterations counts the first-pass Lanczos steps
+    (0 for a dense norm).
     """
 
     t: int
@@ -47,6 +48,7 @@ class EvidenceEntry:
     method: str
     converged: bool
     residual: float
+    iterations: int
     refuted: bool
 
 
@@ -118,8 +120,8 @@ def certify_lower_bound(
         est = spectral_norm(op, tol=tol, max_iter=max_iter, threshold=threshold)
         refuted = est.converged and est.value + tol < threshold
         evidence.append(
-            EvidenceEntry(t=t, norm=est.value, method=est.method,
-                          converged=est.converged, residual=est.residual, refuted=refuted)
+            EvidenceEntry(t=t, norm=est.value, method=est.method, converged=est.converged,
+                          residual=est.residual, iterations=est.iterations, refuted=refuted)
         )
         if not refuted:
             break

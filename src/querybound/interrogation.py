@@ -1,7 +1,7 @@
 """State-vector simulation of the low-weight oracle-interrogation routine.
 
 The algorithm prepares a uniform superposition over the B strings y with
-|y| <= T, applies the phase oracle |y> -> (-1)^(x.y) |y| with T queries,
+|y| <= T, applies the phase oracle |y> -> (-1)^(x.y) |y> with T queries,
 applies a Hadamard to every qubit and measures.  The measured string equals
 the hidden input x with probability exactly B / 2^n.
 """
@@ -9,13 +9,14 @@ the hidden input x with probability exactly B / 2^n.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .transforms import binomial_sum, fwht_in_place
 
-# 2^24 doubles is a 128 MiB state vector; past that the simulation is not useful here.
+# 2^24 doubles: a 128 MiB state, and a 256 MiB peak with one FWHT temporary.
 _MAX_SIM_BITS = 24
 
 
@@ -43,15 +44,15 @@ def _final_state(n: int, t: int, x: int) -> np.ndarray:
         raise ValueError(f"need 0 <= t <= n, got t={t}")
     if x < 0 or x >= (1 << n):
         raise ValueError(f"target {x} does not fit in {n} bits")
-    # One table of all 2^n strings serves both the weight mask and the oracle.
-    cube = np.arange(1 << n, dtype=np.int64)
-    state = np.zeros(1 << n)
-    state[np.bitwise_count(cube) <= t] = 1.0 / math.sqrt(binomial_sum(n, t))
-    # Phase oracle, applied as one pointwise multiplication; costs T queries.
-    cube &= x
-    parity = np.bitwise_count(cube) & 1
-    del cube  # 8 * 2^n bytes, freed before the float temporaries
-    state *= 1.0 - 2.0 * parity
+    # y = (h << lo) | l splits the cube into two halves: |y| = |h| + |l| and
+    # (-1)^(x.y) = (-1)^(x_h.h) (-1)^(x_l.l), so each is an outer sum or product.
+    lo = n // 2
+    low, high = np.arange(1 << lo), np.arange(1 << (n - lo))
+    sign_low = 1.0 - 2.0 * (np.bitwise_count(low & x) & 1)
+    sign_high = (1.0 - 2.0 * (np.bitwise_count(high & (x >> lo)) & 1)) / math.sqrt(binomial_sum(n, t))
+    # Phase oracle times the uniform amplitude; costs T queries.
+    state = np.multiply.outer(sign_high, sign_low).ravel()
+    state *= np.add.outer(np.bitwise_count(high), np.bitwise_count(low)).ravel() <= t
     fwht_in_place(state)
     state /= math.sqrt(1 << n)  # unnormalized transform -> unitary Hadamard
     return state
@@ -69,19 +70,23 @@ def simulate_sampled(n: int, t: int, x: int, shots: int, seed: int) -> Interroga
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     state = _final_state(n, t, x)
-    probs = state * state
-    probs /= probs.sum()
+    prob = float(state[x] ** 2)
+    cdf = np.cumsum(np.square(state, out=state), out=state)
+    # Inverse CDF: r < 1 gives r * cdf[-1] < cdf[-1], and side="right" skips every
+    # flat step, so no draw passes 2^n - 1 or lands on a string of zero probability.
     rng = np.random.Generator(np.random.PCG64(seed))
-    counts = rng.multinomial(shots, probs)
-    hit = np.nonzero(counts)[0]
-    sampled = {int(i): int(counts[i]) for i in hit}
+    sampled: Counter[int] = Counter()
+    for done in range(0, shots, 1 << 20):  # 2^20 draws at a time bound the memory
+        r = rng.random(min(shots - done, 1 << 20))
+        hit, counts = np.unique(np.searchsorted(cdf, r * cdf[-1], side="right"), return_counts=True)
+        sampled.update(dict(zip(hit.tolist(), counts.tolist())))
     return InterrogationOutcome(
         n=n,
         t=t,
         target=x,
-        success_probability=float(state[x] ** 2),
+        success_probability=prob,
         shots=shots,
-        sampled_counts=sampled,
+        sampled_counts=dict(sorted(sampled.items())),
     )
 
 

@@ -22,7 +22,7 @@ def test_parity_certificate_n6():
     norms = [e.norm for e in bound.evidence]
     assert norms[:3] == [0.0, 0.0, 0.0]
     assert norms[3] == pytest.approx(1.0, abs=1e-9)
-    assert all(e.method == "dense_eigen" for e in bound.evidence)
+    assert all(e.method == "dense_eigen" and e.iterations == 0 for e in bound.evidence)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
@@ -148,35 +148,29 @@ def test_sweep_threads_match_serial():
     assert [b.f_descriptor for b in serial] == [b.f_descriptor for b in threaded]
 
 
-def _count_norm_work(monkeypatch) -> tuple[list, list]:
-    """Record the operator's FWHT calls and every norm estimate certify_lower_bound gets."""
-    calls, estimates = [], []
-    fwht, norm = fourier_operator.fwht_in_place, certify.spectral_norm
-
-    def recorded_norm(*args, **kwargs):
-        estimates.append(norm(*args, **kwargs))
-        return estimates[-1]
-
+def _count_norm_work(monkeypatch) -> list:
+    """Record the operator's FWHT calls; each evidence entry carries its Lanczos steps."""
+    calls = []
+    fwht = fourier_operator.fwht_in_place
     monkeypatch.setattr(fourier_operator, "fwht_in_place", lambda v: calls.append(v.shape) or fwht(v))
-    monkeypatch.setattr(certify, "spectral_norm", recorded_norm)
-    return calls, estimates
+    return calls
 
 
 def test_stopping_truncation_runs_one_lanczos_pass(monkeypatch):
     # T = 0..3 are dense; T = 4 (B = 1471) is the matrix-free stopping point,
     # k first-pass steps of one apply (two FWHTs) each and no replay
-    calls, estimates = _count_norm_work(monkeypatch)
+    calls = _count_norm_work(monkeypatch)
     bound = certify_lower_bound(sample_uniform(14, 1), 0.1)
-    last, k = bound.evidence[-1], estimates[-1].iterations
+    last = bound.evidence[-1]
     assert bound.lower_bound_t == 4 and last.method == "lanczos" and not last.refuted
-    assert k > 0 and len(calls) == 2 * k  # the replay would add 2 (k + 1)
+    assert last.iterations > 0 and len(calls) == 2 * last.iterations  # the replay would add 2 (k + 1)
     assert last.converged and last.residual <= 1e-8
 
 
 @pytest.mark.parametrize("n", [17, 18])
 def test_lanczos_refutation_below_dense_cap_stays_certified(n, monkeypatch):
     # T = 4 (B = 3214, 4048) is matrix-free; its refutation is proven by Cholesky
-    calls, estimates = _count_norm_work(monkeypatch)
+    calls = _count_norm_work(monkeypatch)
     bound = certify_lower_bound(sample_uniform(n, 0), 0.1)
     assert bound.lower_bound_t == 5
     refuted, last = bound.evidence[4], bound.evidence[5]
@@ -185,8 +179,7 @@ def test_lanczos_refutation_below_dense_cap_stays_certified(n, monkeypatch):
     # the refuted T replays for the explicit residual (k + 1 more applies), the stopping T does not
     assert refuted.converged and refuted.residual <= 1e-8
     assert last.method == "lanczos" and not last.refuted
-    k_refuted, k_last = estimates[4].iterations, estimates[5].iterations
-    assert len(calls) == 2 * (2 * k_refuted + 1) + 2 * k_last
+    assert len(calls) == 2 * (2 * refuted.iterations + 1) + 2 * last.iterations
 
 
 def test_refutation_past_dense_cap_is_empirical():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,8 +130,72 @@ def _index_scatter_state(n, t, x):
     return state
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 20])
 def test_final_state_equals_index_scatter(n):
-    for t in range(n + 1):
+    # bytes, so the sign of every zero matches too
+    for t in range(n + 1) if n <= 12 else (0, n // 2 + 1, n):
         for x in {0, 1, (1 << n) - 1, 0x5A5 % (1 << n)}:
-            assert np.array_equal(_final_state(n, t, x), _index_scatter_state(n, t, x))
+            assert _final_state(n, t, x).tobytes() == _index_scatter_state(n, t, x).tobytes()
+
+
+def test_sampled_all_mass_on_target_lands_on_target():
+    for seed in range(5):
+        out = simulate_sampled(8, 8, 0b10110001, shots=10_000, seed=seed)
+        assert out.sampled_counts == {0b10110001: 10_000}
+
+
+class _ExtremeDraws:
+    """Stands in for the generator: uniform draws alternating 0.0 and the largest double below 1."""
+
+    def __init__(self, bit_generator):
+        pass
+
+    def random(self, size):
+        return np.resize([0.0, np.nextafter(1.0, 0.0)], size)
+
+
+@pytest.mark.parametrize("x, zero, first, last", [(1, {2, 4, 7}, 0, 6), (3, {0, 5, 6}, 1, 7)])
+def test_sampled_skips_zero_amplitude_strings(x, zero, first, last, monkeypatch):
+    # n = 3, t = 1: the amplitude of z is proportional to 4 - 2|z XOR x|, zero at distance 2
+    state = _final_state(3, 1, x)
+    assert set(np.flatnonzero(state == 0.0)) == zero
+    for seed in range(3):
+        counts = simulate_sampled(3, 1, x, shots=100_000, seed=seed).sampled_counts
+        assert not zero & counts.keys() and sum(counts.values()) == 100_000
+    # the extreme draws land on the first and last strings of nonzero probability
+    monkeypatch.setattr(np.random, "Generator", _ExtremeDraws)
+    assert simulate_sampled(3, 1, x, shots=4, seed=0).sampled_counts == {first: 2, last: 2}
+
+
+def test_sampled_in_blocks_equals_one_inverse_cdf_pass():
+    # past 2^20 shots the draws come in blocks from one stream: same counts as one pass
+    n, t, x, shots, seed = 4, 2, 9, (1 << 20) + 3, 5
+    cdf = np.cumsum(_final_state(n, t, x) ** 2)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = np.searchsorted(cdf, rng.random(shots) * cdf[-1], side="right")
+    hit, counts = np.unique(draws, return_counts=True)
+    out = simulate_sampled(n, t, x, shots=shots, seed=seed)
+    assert list(out.sampled_counts.items()) == list(zip(hit.tolist(), counts.tolist()))
+
+
+def test_sampled_distance_classes_match_exact_distribution():
+    # the final distribution depends only on the distance |z XOR x|; 6 degrees of freedom
+    n, t, x, shots = 6, 3, 0b101101, 200_000
+    distance = np.bitwise_count(np.arange(1 << n) ^ x)
+    expected = shots * np.bincount(distance, weights=_final_state(n, t, x) ** 2)
+    counts = simulate_sampled(n, t, x, shots=shots, seed=12).sampled_counts
+    observed = np.bincount(distance[list(counts)], weights=list(counts.values()), minlength=n + 1)
+    assert observed.sum() == shots and expected.min() > 100
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2 < 22.46  # the 0.999 quantile of chi-square with 6 degrees of freedom
+
+
+def test_sampled_peak_memory_is_state_plus_one_transform_buffer():
+    state_bytes = 8 << 20
+    tracemalloc.start()
+    try:
+        simulate_sampled(20, 11, 0x5A5A5, shots=1000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * state_bytes
