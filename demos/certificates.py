@@ -14,11 +14,11 @@ EPS = 0.1
 
 def main():
     for family in ("parity", "majority", "or_fn"):
-        cert = certify_lower_bound(make_family(family, N), EPS, descriptor=family)
+        cert = certify_lower_bound(make_family(family, N), EPS)
         print(f"{family} (n = {N}, eps = {EPS}):")
-        for ev in cert.evidence:
-            tag = "refuted" if ev.refuted else "stop"
-            print(f"  T={ev.t}: norm = {ev.norm:.6f}  [{ev.method}, {tag}]")
+        for t, ev in enumerate(cert.evidence):
+            tag = "refuted" if t < cert.lower_bound_t else "stop"
+            print(f"  T={t}: norm = {ev.value:.6f}  [{ev.method}, {tag}]")
         unit = "query" if cert.lower_bound_t == 1 else "queries"
         print(f"  => at least {cert.lower_bound_t} {unit} ({cert.status})")
         e = cert.entropy

@@ -50,7 +50,6 @@ from .moments import (
     trace_moment,
 )
 from .transforms import (
-    WeightIndex,
     binary_entropy,
     binomial_sum,
     build_weight_index,

@@ -25,31 +25,15 @@ from .boolfn import (
     map_trials,
     sample_uniform,
 )
-from .fourier_operator import build_matrix_free, build_operator, prove_norm_below, spectral_norm
+from .fourier_operator import (
+    NormEstimate,
+    build_matrix_free,
+    build_operator,
+    prove_norm_below,
+    spectral_norm,
+)
 from .interrogation import choose_t
 from .transforms import binary_entropy, binomial_sum
-
-
-@dataclass(frozen=True)
-class EvidenceEntry:
-    """One scanned truncation T and its norm estimate.
-
-    For a Lanczos norm, residual and converged of a refuted T come from the
-    explicit ||F_T y - theta y||.  The stopping T skips that replay, so its
-    residual is the first-pass estimate |beta_k s_k| and converged means the
-    estimate is <= tol.  The CLI prints only the norms, so certify's bytes
-    are the same either way; the norm and claim1-sweep rows still report
-    the explicit residual.  iterations counts the first-pass Lanczos steps
-    (0 for a dense norm).
-    """
-
-    t: int
-    norm: float
-    method: str
-    converged: bool
-    residual: float
-    iterations: int
-    refuted: bool
 
 
 @dataclass(frozen=True)
@@ -60,7 +44,6 @@ class EntropyReport:
     reported for scale, not as a bound.
     """
 
-    t: int
     b: int
     exponent: float  # n * H(t/n)
     bound: float  # 2^exponent
@@ -68,13 +51,15 @@ class EntropyReport:
 
 @dataclass(frozen=True, eq=False)
 class CertifiedBound:
-    f_descriptor: str
+    """evidence[T] is the norm estimate of F_T; every T < lower_bound_t is refuted."""
+
+    f_descriptor: str  # a label, attached by the sweep and the CLI with replace
     n: int
     eps: float
     lower_bound_t: int
-    evidence: tuple[EvidenceEntry, ...]
+    evidence: tuple[NormEstimate, ...]
     status: str  # "certified" | "empirical"
-    entropy: EntropyReport
+    entropy: EntropyReport  # of the stopping truncation T = lower_bound_t
     seed: int | None = None  # the sign table's seed, set by certify_random_sweep
 
 
@@ -83,7 +68,6 @@ def certify_lower_bound(
     eps: float,
     tol: float = 1e-8,
     max_iter: int = 10000,
-    descriptor: str = "",
 ) -> CertifiedBound:
     """Scan T = 0, 1, ... and refute every T whose norm clears the guard band.
 
@@ -99,13 +83,8 @@ def certify_lower_bound(
     B <= DENSE_LIMIT two verified Cholesky factorizations), else
     "empirical".  A refutation past DENSE_LIMIT with a nonzero operator
     stays empirical: a Ritz value can only undershoot the true norm.
-    Each norm is computed with spectral_norm's threshold = 1/2 - eps, so a
-    Lanczos T that cannot be refuted, the stopping one, runs a single pass:
-    its evidence residual and converged come from the first-pass estimate,
-    while a refuted T carries the explicit residual.  The CLI prints only
-    the norms, which are the same either way, so certify's bytes do not
-    depend on it; the norm and claim1-sweep rows still report the explicit
-    residual.
+    Each norm is computed with spectral_norm's threshold = 1/2 - eps; see
+    spectral_norm for what that does to the stopping T's residual.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
@@ -113,24 +92,20 @@ def certify_lower_bound(
     threshold = 0.5 - eps
     # one step down from the rounded difference is at most the exact 1/2 - eps
     tau = math.nextafter(threshold, 0.0)
-    evidence: list[EvidenceEntry] = []
+    evidence: list[NormEstimate] = []
     proven = True
     for t in range(g.n + 1):  # T = n has norm 1, so the scan always breaks
         op = build_operator(g, t)
         est = spectral_norm(op, tol=tol, max_iter=max_iter, threshold=threshold)
-        refuted = est.converged and est.value + tol < threshold
-        evidence.append(
-            EvidenceEntry(t=t, norm=est.value, method=est.method, converged=est.converged,
-                          residual=est.residual, iterations=est.iterations, refuted=refuted)
-        )
-        if not refuted:
+        evidence.append(est)
+        if not (est.converged and est.value + tol < threshold):
             break
         proven = proven and prove_norm_below(op, tau)
     status = "certified" if proven else "empirical"
     exponent = g.n * binary_entropy(t / g.n)
-    entropy = EntropyReport(t=t, b=binomial_sum(g.n, t), exponent=exponent, bound=2.0 ** exponent)
+    entropy = EntropyReport(b=binomial_sum(g.n, t), exponent=exponent, bound=2.0 ** exponent)
     return CertifiedBound(
-        f_descriptor=descriptor,
+        f_descriptor="",
         n=g.n,
         eps=eps,
         lower_bound_t=t,
@@ -167,10 +142,11 @@ def certify_random_sweep(
 
     def one(job: BooleanFunction | int) -> CertifiedBound:
         if isinstance(job, BooleanFunction):
-            return certify_lower_bound(job, eps, tol=tol, max_iter=max_iter, descriptor=include_family)
+            return replace(certify_lower_bound(job, eps, tol=tol, max_iter=max_iter),
+                           f_descriptor=include_family)
         f = sample_uniform(n, job)  # sampled per trial: one table per running thread
-        bound = certify_lower_bound(f, eps, tol=tol, max_iter=max_iter, descriptor=f"random:seed={job}")
-        return replace(bound, seed=job)
+        bound = certify_lower_bound(f, eps, tol=tol, max_iter=max_iter)
+        return replace(bound, f_descriptor=f"random:seed={job}", seed=job)
 
     bounds = map_trials(one, jobs, threads)
 

@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import boolfn
@@ -24,6 +25,7 @@ from .certify import certify_lower_bound, certify_random_sweep, run_claim1_sweep
 from .fourier_operator import build_dense, build_matrix_free, build_operator, spectral_norm
 from .interrogation import (
     asymptotic_reference_t,
+    check_sim_bits,
     choose_t,
     simulate_exact,
     simulate_sampled,
@@ -70,6 +72,8 @@ def write_rows(fieldnames: list[str], rows: list[dict], fmt: str, out: str) -> N
 
 def _load_function(args) -> tuple[boolfn.BooleanFunction, str]:
     if args.function_file:
+        if args.family or args.n is not None:
+            raise ValueError("--function-file sets the function and its n; drop --family and --n")
         f = boolfn.read_truth_table(args.function_file)
         digest = hashlib.sha256(Path(args.function_file).read_bytes()).hexdigest()[:12]
         return f, f"file:{digest}"
@@ -90,6 +94,7 @@ VANDAM_FIELDS = [
 
 def cmd_vandam(args) -> tuple[list[str], list[dict], int]:
     n = args.n
+    check_sim_bits(n)  # before choose_t, which cannot count strings for n < 0
     if args.t is None and args.eps is None:
         raise ValueError("provide --t or --eps")
     t = args.t if args.t is not None else choose_t(n, args.eps)
@@ -168,7 +173,7 @@ def _certificate_row(bound, trial, upper) -> dict:
         "lower_bound_t": bound.lower_bound_t, "status": bound.status,
         "upper_bound_t": upper, "b_stop": bound.entropy.b,
         "entropy_exponent": bound.entropy.exponent, "entropy_bound": bound.entropy.bound,
-        "norms": json.dumps([e.norm for e in bound.evidence]),
+        "norms": json.dumps([e.value for e in bound.evidence]),
     }
 
 
@@ -193,9 +198,11 @@ def cmd_certify(args) -> tuple[list[str], list[dict], int]:
             raise ValueError("--include-family adds a family to a random sweep; it needs --trials")
         if args.seed is not None:
             raise ValueError("--seed seeds a random sweep; it needs --trials")
+        if args.threads != 1:
+            raise ValueError("--threads runs random trials in parallel; it needs --trials")
         f, desc = _load_function(args)
-        bound = certify_lower_bound(f, args.eps, tol=args.tol, max_iter=args.max_iter,
-                                    descriptor=desc)
+        bound = replace(certify_lower_bound(f, args.eps, tol=args.tol, max_iter=args.max_iter),
+                        f_descriptor=desc)
         rows = [_certificate_row(bound, 0, choose_t(f.n, args.eps))]
     for row in rows:
         row.setdefault("tol", args.tol)
@@ -213,9 +220,9 @@ MOMENTS_FIELDS = [
 
 def cmd_moments(args) -> tuple[list[str], list[dict], int]:
     desc = None
-    if args.method != "mc" and (args.trials is not None or args.seed is not None):
-        raise ValueError(f"--method {args.method} uses no randomness; "
-                         "--trials and --seed need --method mc")
+    if args.method != "mc" and (args.trials is not None or args.seed is not None or args.threads != 1):
+        raise ValueError(f"--method {args.method} uses no randomness and no pool; "
+                         "--trials, --seed and --threads need --method mc")
     if args.method == "exact":
         f, desc = _load_function(args)
         report = trace_moment(f, args.t, args.k)
@@ -346,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int)
     p.add_argument("--eps", type=float, help="pick T = choose_t(n, eps)")
     p.add_argument("--x", help="hidden input as a bitstring, default all zeros")
-    p.add_argument("--exact", action="store_true", help="accepted for compatibility; has no effect")
     p.add_argument("--shots", type=int, help="also sample this many measurements")
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_vandam)

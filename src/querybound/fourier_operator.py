@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfn import BooleanFunction, fourier, numpy_symbols
-from .transforms import WeightIndex, binomial_sum, build_weight_index, fwht_in_place
+from .transforms import binomial_sum, build_weight_index, fwht_in_place
 
 # Hard memory cap: B x B doubles at 4096 is 128 MiB, so larger truncations
 # are never materialized, neither for eigvalsh nor for a Cholesky proof.
@@ -65,7 +65,7 @@ _CHECK_EVERY = 10
 class TruncatedFourierOperator:
     f: BooleanFunction
     t: int
-    index: WeightIndex
+    strings: np.ndarray  # build_weight_index(f.n, t)
     dense_matrix: np.ndarray | None = None
 
     @property
@@ -74,7 +74,7 @@ class TruncatedFourierOperator:
 
     @property
     def size(self) -> int:
-        return self.index.size
+        return self.strings.size
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -86,12 +86,12 @@ class TruncatedFourierOperator:
         # Fresh scratch per call keeps concurrent applies on one operator safe.
         n = self.f.n
         buf = np.zeros(1 << n)
-        buf[self.index.strings] = v
+        buf[self.strings] = v
         fwht_in_place(buf)
         buf *= self.f.signs
         fwht_in_place(buf)
         buf /= float(1 << n)
-        return buf[self.index.strings]
+        return buf[self.strings]
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,11 @@ def build_dense(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
     b = binomial_sum(f.n, t)
     if b > DENSE_LIMIT:
         raise ValueError(f"B={b} exceeds the dense budget {DENSE_LIMIT}; use build_matrix_free")
-    index = build_weight_index(f.n, t)
+    strings = build_weight_index(f.n, t)
     dense = np.empty((b, b))
-    _gather_xor(fourier(f).coeffs, index.strings, dense)
+    _gather_xor(fourier(f).coeffs, strings, dense)
     dense.flags.writeable = False
-    return TruncatedFourierOperator(f=f, t=t, index=index, dense_matrix=dense)
+    return TruncatedFourierOperator(f=f, t=t, strings=strings, dense_matrix=dense)
 
 
 def _gather_xor(coeffs: np.ndarray, strings: np.ndarray, out: np.ndarray) -> None:
@@ -127,8 +127,7 @@ def _gather_xor(coeffs: np.ndarray, strings: np.ndarray, out: np.ndarray) -> Non
 
 
 def build_matrix_free(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
-    index = build_weight_index(f.n, t)
-    return TruncatedFourierOperator(f=f, t=t, index=index)
+    return TruncatedFourierOperator(f=f, t=t, strings=build_weight_index(f.n, t))
 
 
 def build_operator(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
@@ -309,7 +308,7 @@ def prove_norm_below(op: TruncatedFourierOperator, tau: float) -> bool:
         if op.dense_matrix is not None:
             np.multiply(op.dense_matrix, -sign, out=buf)
         else:
-            _gather_xor(coeffs, op.index.strings, buf)
+            _gather_xor(coeffs, op.strings, buf)
             if sign > 0:
                 np.negative(buf, out=buf)
         np.fill_diagonal(buf, diag)

@@ -37,9 +37,14 @@ class InterrogationOutcome:
         return self.sampled_counts.get(self.target, 0) / self.shots
 
 
-def _final_state(n: int, t: int, x: int) -> np.ndarray:
-    if n < 1 or n > _MAX_SIM_BITS:
+def check_sim_bits(n: int) -> None:
+    """Refuse n outside 1.._MAX_SIM_BITS before any state is built."""
+    if not 1 <= n <= _MAX_SIM_BITS:
         raise ValueError(f"state-vector simulation supports n in 1..{_MAX_SIM_BITS}, got {n}")
+
+
+def _final_state(n: int, t: int, x: int) -> np.ndarray:
+    check_sim_bits(n)
     if t < 0 or t > n:
         raise ValueError(f"need 0 <= t <= n, got t={t}")
     if x < 0 or x >= (1 << n):

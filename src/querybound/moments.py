@@ -39,6 +39,13 @@ class MomentReport:
     trials: int = 0
 
 
+def _check_exhaustive_bits(n: int, what: str) -> None:
+    if n > _EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive {what} is limited to n <= {_EXHAUSTIVE_MAX_N}")
+    if n < 1:
+        raise ValueError(f"exhaustive {what} needs n in 1..{_EXHAUSTIVE_MAX_N}, got {n}")
+
+
 def _bound_scale(n: int, t: int, k: int) -> float:
     b = binomial_sum(n, t)
     return b * (b / (1 << n)) ** k
@@ -74,19 +81,18 @@ def expected_trace_moment_exhaustive(n: int, t: int, k: int) -> MomentReport:
     per-table sums are then converted to int64, and a chunk of them stays
     below 2^63.
     """
-    if n > _EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive expectation is limited to n <= {_EXHAUSTIVE_MAX_N}")
+    _check_exhaustive_bits(n, "expectation")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     m = 1 << n
-    idx = build_weight_index(n, t)
-    b = idx.size
+    strings = build_weight_index(n, t)
+    b = strings.size
     chunk = 1 << 12
     if chunk * b * m ** (2 * k) >= 2**63:
         raise ValueError(f"k={k} overflows the exact integer path at n={n}, t={t}")
     grid = np.arange(m, dtype=np.int64)
     walsh = walsh_matrix(n)
-    xor_table = idx.strings[:, None] ^ idx.strings[None, :]
+    xor_table = strings[:, None] ^ strings[None, :]
     total = 0
     n_funcs = 1 << m
     for start in range(0, n_funcs, chunk):
@@ -222,8 +228,7 @@ def expected_sign_product(n: int, xs: tuple[int, ...]) -> float:
     The mean is an integer divided by a power of two, so the float is exact:
     1.0 when every distinct point appears an even number of times, else 0.0.
     """
-    if n > _EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive product is limited to n <= {_EXHAUSTIVE_MAX_N}")
+    _check_exhaustive_bits(n, "product")
     pts = np.asarray(xs, dtype=np.int64)
     if pts.ndim != 1 or pts.size == 0 or pts.min() < 0 or pts.max() >= (1 << n):
         raise ValueError(f"tuple entries must be {n}-bit points, got {xs}")
@@ -259,8 +264,7 @@ def evenness_check(n: int, m: int, trials: int, seed: int) -> EvennessReport:
     with fully random ones, and verifies the enumerated mean is exactly 1
     for even multiplicity patterns and exactly 0 otherwise.
     """
-    if n > _EXHAUSTIVE_MAX_N:  # before sampling, which cannot draw 2^n points past n = 62
-        raise ValueError(f"exhaustive product is limited to n <= {_EXHAUSTIVE_MAX_N}")
+    _check_exhaustive_bits(n, "product")  # before sampling, which cannot draw 2^n points past n = 62
     if m < 1 or m > 6:
         raise ValueError(f"m must lie in 1..6, got {m}")
     if trials < 1:

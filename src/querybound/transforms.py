@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,23 +89,11 @@ def binary_entropy(q: float) -> float:
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
 
 
-@dataclass(frozen=True, eq=False)
-class WeightIndex:
-    """All n-bit strings of Hamming weight <= t, in (weight, value) order.
+def build_weight_index(n: int, t: int) -> np.ndarray:
+    """All n-bit strings of Hamming weight <= t, in (weight, value) order, read-only.
 
-    strings[j] is the j-th string, and B = len(strings) = binomial_sum(n, t).
+    Its size is B = binomial_sum(n, t).
     """
-
-    n: int
-    t: int
-    strings: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.strings.shape[0])
-
-
-def build_weight_index(n: int, t: int) -> WeightIndex:
     check_bits(n)
     if t < 0 or t > n:
         raise ValueError(f"need 0 <= t <= n, got t={t}")
@@ -116,7 +103,7 @@ def build_weight_index(n: int, t: int) -> WeightIndex:
     order = np.argsort(weights[kept], kind="stable")  # stable keeps value order within a weight
     strings = kept[order]
     strings.flags.writeable = False
-    return WeightIndex(n=n, t=t, strings=strings)
+    return strings
 
 
 def parse_bitstring(text: str) -> int:

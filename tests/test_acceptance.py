@@ -107,8 +107,8 @@ def test_c03_operator_oracle_equivalence():
             f = sample_uniform(n, int(seeds_a[si])); si += 1
             conj = _conjugated_sign_matrix(f)
             for t in range(n + 1):
-                idx = build_weight_index(n, t)
-                sub = conj[np.ix_(idx.strings, idx.strings)]
+                strings = build_weight_index(n, t)
+                sub = conj[np.ix_(strings, strings)]
                 diff = np.abs(build_dense(f, t).dense_matrix - sub).max()
                 worst_dense = max(worst_dense, diff)
     # part B: matrix-free apply against dense matvec, 50 random f, all T
@@ -171,16 +171,15 @@ def test_c05_parity_certificates():
     t0 = time.perf_counter()
     failures = []
     for n in range(2, 13):
-        cert = certify_lower_bound(make_family("parity", n), eps=0.1,
-                                   descriptor="parity")
+        cert = certify_lower_bound(make_family("parity", n), eps=0.1)
         want = (n + 1) // 2
         if cert.lower_bound_t != want or cert.status != "certified":
             failures.append(f"n={n}: T*={cert.lower_bound_t} status={cert.status}")
             continue
-        for ev in cert.evidence:
-            target = 1.0 if ev.t == want else 0.0
-            if abs(ev.norm - target) > 1e-9:
-                failures.append(f"n={n}, T={ev.t}: norm={ev.norm!r}")
+        for t, ev in enumerate(cert.evidence):
+            target = 1.0 if t == want else 0.0
+            if abs(ev.value - target) > 1e-9:
+                failures.append(f"n={n}, T={t}: norm={ev.value!r}")
     elapsed = time.perf_counter() - t0
     ok = not failures
     line = _report(5, "parity certificate", ok,
@@ -200,7 +199,7 @@ def test_c06_certificate_soundness():
         cap = choose_t(n, eps)
         for s in seeds:
             f = sample_uniform(n, int(s))
-            cert = certify_lower_bound(f, eps=eps, descriptor=f"seed={int(s)}")
+            cert = certify_lower_bound(f, eps=eps)
             count += 1
             if cert.lower_bound_t > cap:
                 violations.append(f"n={n} eps={eps:.3g} seed={int(s)}: "

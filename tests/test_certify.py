@@ -12,14 +12,14 @@ def test_constant_plus_gives_trivial_bound():
     bound = certify_lower_bound(make_family("constant_plus", 5), 0.1)
     assert bound.lower_bound_t == 0
     assert bound.status == "certified"
-    assert bound.evidence[0].norm == pytest.approx(1.0, abs=1e-12)
+    assert bound.evidence[0].value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_parity_certificate_n6():
     bound = certify_lower_bound(make_family("parity", 6), 0.1)
     assert bound.lower_bound_t == 3
     assert bound.status == "certified"
-    norms = [e.norm for e in bound.evidence]
+    norms = [e.value for e in bound.evidence]
     assert norms[:3] == [0.0, 0.0, 0.0]
     assert norms[3] == pytest.approx(1.0, abs=1e-9)
     assert all(e.method == "dense_eigen" and e.iterations == 0 for e in bound.evidence)
@@ -36,7 +36,7 @@ def test_or_certificate_is_weak_but_valid():
     bound = certify_lower_bound(make_family("or_fn", 4), 0.1)
     assert bound.lower_bound_t == 0
     # the canonicalized function has norm 0.875 at T = 0, above the 0.4 threshold
-    assert bound.evidence[0].norm == pytest.approx(0.875, abs=1e-12)
+    assert bound.evidence[0].value == pytest.approx(0.875, abs=1e-12)
 
 
 def test_negation_invariance():
@@ -56,7 +56,7 @@ def test_raising_eps_never_raises_bound():
 
 def test_evidence_norms_monotone():
     bound = certify_lower_bound(sample_uniform(8, 77), 0.1)
-    norms = [e.norm for e in bound.evidence]
+    norms = [e.value for e in bound.evidence]
     for lo, hi in zip(norms, norms[1:]):
         assert hi >= lo - 1e-8
 
@@ -73,7 +73,7 @@ def test_soundness_against_upper_bound():
 def test_entropy_report_consistent():
     bound = certify_lower_bound(make_family("parity", 6), 0.1)
     rep = bound.entropy
-    assert rep.t == 3
+    assert bound.lower_bound_t == 3
     assert rep.b == 42
     assert rep.exponent == pytest.approx(6.0, abs=1e-12)
     assert rep.b <= rep.bound + 1e-9
@@ -149,7 +149,7 @@ def test_sweep_threads_match_serial():
 
 
 def _count_norm_work(monkeypatch) -> list:
-    """Record the operator's FWHT calls; each evidence entry carries its Lanczos steps."""
+    """Record the operator's FWHT calls; each evidence estimate carries its Lanczos steps."""
     calls = []
     fwht = fourier_operator.fwht_in_place
     monkeypatch.setattr(fourier_operator, "fwht_in_place", lambda v: calls.append(v.shape) or fwht(v))
@@ -162,7 +162,7 @@ def test_stopping_truncation_runs_one_lanczos_pass(monkeypatch):
     calls = _count_norm_work(monkeypatch)
     bound = certify_lower_bound(sample_uniform(14, 1), 0.1)
     last = bound.evidence[-1]
-    assert bound.lower_bound_t == 4 and last.method == "lanczos" and not last.refuted
+    assert bound.lower_bound_t == 4 == len(bound.evidence) - 1 and last.method == "lanczos"
     assert last.iterations > 0 and len(calls) == 2 * last.iterations  # the replay would add 2 (k + 1)
     assert last.converged and last.residual <= 1e-8
 
@@ -174,11 +174,11 @@ def test_lanczos_refutation_below_dense_cap_stays_certified(n, monkeypatch):
     bound = certify_lower_bound(sample_uniform(n, 0), 0.1)
     assert bound.lower_bound_t == 5
     refuted, last = bound.evidence[4], bound.evidence[5]
-    assert refuted.method == "lanczos" and refuted.refuted
+    assert refuted.method == "lanczos" and 4 < bound.lower_bound_t
     assert bound.status == "certified"
     # the refuted T replays for the explicit residual (k + 1 more applies), the stopping T does not
     assert refuted.converged and refuted.residual <= 1e-8
-    assert last.method == "lanczos" and not last.refuted
+    assert last.method == "lanczos" and len(bound.evidence) - 1 == bound.lower_bound_t
     assert len(calls) == 2 * (2 * refuted.iterations + 1) + 2 * last.iterations
 
 
@@ -189,6 +189,6 @@ def test_refutation_past_dense_cap_is_empirical():
     signs[0] = -signs[0]
     bound = certify_lower_bound(BooleanFunction(15, signs), 0.1)
     assert bound.lower_bound_t == 6
-    assert bound.evidence[5].refuted and bound.evidence[5].method == "lanczos"
-    assert bound.evidence[5].norm == pytest.approx(2 * 4944 / 2**15, abs=1e-12)
+    assert 5 < bound.lower_bound_t and bound.evidence[5].method == "lanczos"
+    assert bound.evidence[5].value == pytest.approx(2 * 4944 / 2**15, abs=1e-12)
     assert bound.status == "empirical"

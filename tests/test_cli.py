@@ -30,7 +30,7 @@ def parse_csv(text):
 
 
 def test_vandam_exact_pinned(tmp_path):
-    code, text = run_cli(tmp_path, ["vandam", "--n", "4", "--t", "2", "--x", "0101", "--exact"])
+    code, text = run_cli(tmp_path, ["vandam", "--n", "4", "--t", "2", "--x", "0101"])
     assert code == 0
     rows = parse_csv(text)
     assert len(rows) == 1
@@ -40,7 +40,7 @@ def test_vandam_exact_pinned(tmp_path):
 
 
 def test_vandam_eps_selects_t(tmp_path):
-    code, text = run_cli(tmp_path, ["vandam", "--n", "8", "--eps", "0.1", "--exact"])
+    code, text = run_cli(tmp_path, ["vandam", "--n", "8", "--eps", "0.1"])
     rows = parse_csv(text)
     assert code == 0
     assert rows[0]["t"] != ""
@@ -188,10 +188,19 @@ def test_unwritable_output_is_an_error(tmp_path, capsys):
           "--parts", "1,2|3,4"], "--evenness"),
         (["vandam", "--n", "4", "--t", "2", "--seed", "3"], "--shots"),
         (["certify", "--family", "parity", "--n", "6", "--eps", "0.1", "--seed", "3"], "--trials"),
+        (["certify", "--family", "parity", "--n", "6", "--eps", "0.1", "--threads", "4"], "--trials"),
+        (["moments", "--method", "exact", "--family", "parity", "--n", "4", "--t", "1", "--threads", "3"],
+         "--method mc"),
+        (["moments", "--method", "exhaustive", "--n", "3", "--t", "1", "--threads", "3"], "--method mc"),
+        (["norm", "--function-file", "/nonexistent", "--family", "majority", "--n", "7", "--t", "1"],
+         "--function-file"),
+        (["moments", "--method", "exact", "--function-file", "/nonexistent", "--n", "4", "--t", "1"],
+         "--function-file"),
     ],
     ids=["certify-trials", "moments-exhaustive", "moments-mc", "claim2-partition-trials",
          "claim2-partition-seed", "claim2-evenness-t", "claim2-evenness-parts", "vandam-seed",
-         "certify-seed"],
+         "certify-seed", "certify-threads", "moments-exact-threads", "moments-exhaustive-threads",
+         "norm-file-family", "moments-file-n"],
 )
 def test_function_flags_a_mode_ignores_are_refused(argv, hint, capsys):
     code = main(argv)
@@ -311,6 +320,25 @@ def test_claim2_evenness_names_the_n_limit(n, capsys):
     assert captured.err == "error: exhaustive product is limited to n <= 4\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["vandam", "--n", "-3", "--eps", "0.1"], "state-vector simulation supports n in 1..24, got -3"),
+        (["moments", "--method", "exhaustive", "--n", "-2", "--t", "0"],
+         "exhaustive expectation needs n in 1..4, got -2"),
+        (["claim2-verify", "--evenness", "--n", "-1", "--m", "2", "--trials", "1", "--seed", "1"],
+         "exhaustive product needs n in 1..4, got -1"),
+    ],
+    ids=["vandam", "moments-exhaustive", "claim2-evenness"],
+)
+def test_n_below_one_names_the_valid_range(argv, message, capsys):
+    # these used to fail on a negative shift count before any range check
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_csv_and_json_carry_identical_data(tmp_path):
     base = ["certify", "--family", "parity", "--n", "6", "--eps", "0.1"]
     _, csv_text = run_cli(tmp_path, [*base, "--format", "csv"], "a.csv")
@@ -374,7 +402,7 @@ def test_schema_doc_lists_every_subcommands_columns():
 
 
 def test_stdout_output(capsys):
-    code = main(["vandam", "--n", "2", "--t", "2", "--exact"])
+    code = main(["vandam", "--n", "2", "--t", "2"])
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("schema_version")

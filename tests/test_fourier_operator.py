@@ -52,8 +52,8 @@ def test_dense_matches_full_conjugation(n):
     f = sample_uniform(n, 31 + n)
     full = conjugated_sign_matrix(f)
     for t in range(n + 1):
-        idx = build_weight_index(n, t)
-        expect = full[np.ix_(idx.strings, idx.strings)]
+        strings = build_weight_index(n, t)
+        expect = full[np.ix_(strings, strings)]
         got = build_dense(f, t).dense_matrix
         assert np.max(np.abs(got - expect)) < 1e-10
 

@@ -121,9 +121,9 @@ def test_sampled_rejects_zero_shots():
 
 def _index_scatter_state(n, t, x):
     """The state built by scattering 1/sqrt(B) over the sorted weight index."""
-    idx = build_weight_index(n, t)
+    strings = build_weight_index(n, t)
     state = np.zeros(1 << n)
-    state[idx.strings] = 1.0 / math.sqrt(idx.size)
+    state[strings] = 1.0 / math.sqrt(strings.size)
     state *= 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n, dtype=np.int64) & x) & 1)
     fwht_in_place(state)
     state /= math.sqrt(1 << n)

@@ -144,7 +144,7 @@ def bruteforce_oracle(n, t, spec):
     """Literal nested-loop enumeration, no grouping, no vectorization."""
     from querybound.transforms import build_weight_index
 
-    strings = build_weight_index(n, t).strings.tolist()
+    strings = build_weight_index(n, t).tolist()
     total = 0
     for svec in itertools.product(strings, repeat=spec.m):
         e = [svec[i] ^ svec[(i + 1) % spec.m] for i in range(spec.m)]
@@ -257,7 +257,7 @@ def test_exhaustive_high_k_against_batched_eigvalsh(tmp_path):
     m = 1 << n
     grid = np.arange(m)
     walsh = 1.0 - 2.0 * (np.bitwise_count(grid[:, None] & grid[None, :]) & 1)
-    strings = build_weight_index(n, t).strings
+    strings = build_weight_index(n, t)
     xor_table = strings[:, None] ^ strings[None, :]
     sums = {4: 0.0, 5: 0.0}
     for start in range(0, 1 << m, 1 << 12):

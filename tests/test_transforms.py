@@ -161,17 +161,16 @@ def test_entropy_bounds_binomial_sum():
 
 
 def test_weight_index_small():
-    idx = build_weight_index(2, 1)
-    assert idx.strings.tolist() == [0, 1, 2]
-    assert idx.size == 3
-    idx = build_weight_index(3, 3)
-    assert sorted(idx.strings.tolist()) == list(range(8))
+    strings = build_weight_index(2, 1)
+    assert strings.tolist() == [0, 1, 2]
+    assert strings.size == 3
+    strings = build_weight_index(3, 3)
+    assert sorted(strings.tolist()) == list(range(8))
 
 
 def test_weight_index_order_and_rank():
-    idx = build_weight_index(4, 2)
-    s = idx.strings
-    assert idx.size == 11 == binomial_sum(4, 2)
+    s = build_weight_index(4, 2)
+    assert s.size == 11 == binomial_sum(4, 2)
     weights = [bin(v).count("1") for v in s.tolist()]
     assert weights == sorted(weights)
     # value order within each weight class
