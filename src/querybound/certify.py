@@ -33,7 +33,7 @@ from .fourier_operator import (
     spectral_norm,
 )
 from .interrogation import choose_t
-from .transforms import binary_entropy, binomial_sum
+from .transforms import binary_entropy, binomial_sum, check_bits
 
 
 @dataclass(frozen=True)
@@ -189,6 +189,8 @@ def run_claim1_sweep(
         raise ValueError(f"t_rule must lie in (0, 0.5], got {t_rule}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    for n in ns:
+        check_bits(n)
     all_seeds = derive_seeds(seed, len(ns) * trials)
     rows = []
     for i, n in enumerate(ns):

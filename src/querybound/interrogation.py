@@ -16,7 +16,8 @@ import numpy as np
 
 from .transforms import binomial_sum, fwht_in_place
 
-# 2^24 doubles: a 128 MiB state, and a 256 MiB peak with one FWHT temporary.
+# 2^24 doubles: a 128 MiB state, built by one product of half-cube tables
+# with no transform temporary.
 _MAX_SIM_BITS = 24
 
 
@@ -50,16 +51,20 @@ def _final_state(n: int, t: int, x: int) -> np.ndarray:
     if x < 0 or x >= (1 << n):
         raise ValueError(f"target {x} does not fit in {n} bits")
     # y = (h << lo) | l splits the cube into two halves: |y| = |h| + |l| and
-    # (-1)^(x.y) = (-1)^(x_h.h) (-1)^(x_l.l), so each is an outer sum or product.
+    # (-1)^(x.y) = (-1)^(x_h.h) (-1)^(x_l.l).  Grouped by w = |h|, the oracle's
+    # output is sum_w a_w (x) b_w with a_w = (-1)^(x_h.h) [|h| = w] and
+    # b_w = (-1)^(x_l.l) [|l| <= t - w], and H (a (x) b) = (H a) (x) (H b).
     lo = n // 2
     low, high = np.arange(1 << lo), np.arange(1 << (n - lo))
-    sign_low = 1.0 - 2.0 * (np.bitwise_count(low & x) & 1)
-    sign_high = (1.0 - 2.0 * (np.bitwise_count(high & (x >> lo)) & 1)) / math.sqrt(binomial_sum(n, t))
-    # Phase oracle times the uniform amplitude; costs T queries.
-    state = np.multiply.outer(sign_high, sign_low).ravel()
-    state *= np.add.outer(np.bitwise_count(high), np.bitwise_count(low)).ravel() <= t
-    fwht_in_place(state)
-    state /= math.sqrt(1 << n)  # unnormalized transform -> unitary Hadamard
+    w = np.arange(min(n - lo, t) + 1)[:, None]
+    a = (np.bitwise_count(high) == w) * (1.0 - 2.0 * (np.bitwise_count(high & (x >> lo)) & 1))
+    b = (np.bitwise_count(low) <= t - w) * (1.0 - 2.0 * (np.bitwise_count(low & x) & 1))
+    for row in (*a, *b):
+        fwht_in_place(row)
+    # Integers below 2^n < 2^53 throughout, so exact in any summation order;
+    # one division gives the uniform amplitude and the unitary Hadamard.
+    state = (a.T @ b).ravel()
+    state /= math.sqrt(binomial_sum(n, t) << n)
     return state
 
 

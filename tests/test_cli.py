@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from querybound.boolfn import derive_seeds, make_family, sample_uniform, write_truth_table
-from querybound import cli
+from querybound import certify, cli
 from querybound.cli import main, run_claim1_sweep
 from querybound.fourier_operator import build_dense
 
@@ -154,6 +154,18 @@ def test_family_past_the_bit_cap_is_an_error(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "error: n must lie in 1..26, got 40\n"
+
+
+@pytest.mark.parametrize("ns, bad", [("-2", -2), ("12,40", 40)], ids=["negative", "past-cap"])
+def test_claim1_sweep_checks_every_n_before_sampling(ns, bad, monkeypatch, capsys):
+    def sample_uniform(n, seed):
+        raise AssertionError("sampled before every n was checked")
+
+    monkeypatch.setattr(certify, "sample_uniform", sample_uniform)
+    code = main(["claim1-sweep", "--ns", ns, "--trials", "2", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: n must lie in 1..26, got {bad}\n"
 
 
 def test_missing_function_file_is_an_error(tmp_path, capsys):
@@ -462,7 +474,8 @@ def test_claim1_sweep_bytes_independent_of_blas_threads():
 
 
 def test_vandam_n20_bytes_independent_of_blas_threads():
-    # n = 20 runs the transform as four 5-bit factors, the middle ones batched.
+    # n = 20 transforms 2^10-long half-cube rows (two 5-bit factors each) and
+    # joins them in one matrix product; every product and sum is an exact integer.
     outputs = _stdout_one_blas_thread_and_default(
         ["vandam", "--n", "20", "--eps", "0.1", "--x", "01101001110010110100",
          "--shots", "1000", "--seed", "1"])

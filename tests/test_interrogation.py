@@ -43,6 +43,16 @@ def test_matches_closed_form_and_ignores_target(n):
         assert max(probs) - min(probs) <= 1e-10
 
 
+@pytest.mark.parametrize("n", range(1, 23))
+def test_success_probability_within_two_ulp_of_closed_form(n):
+    # amplitudes are exact integers divided once by sqrt(B 2^n)
+    for t in sorted({0, 1, n // 2, (3 * n) // 4, n}):
+        expect = success_probability_closed_form(n, t)
+        for x in {0, (1 << n) - 1, 0x2AAAAA % (1 << n)}:
+            got = simulate_exact(n, t, x).success_probability
+            assert abs(got - expect) <= 2 * math.ulp(expect), (t, x)
+
+
 def test_final_state_stays_normalized():
     for n, t in ((6, 2), (10, 4), (12, 6)):
         state = _final_state(n, t, 37 % (1 << n))
@@ -120,13 +130,14 @@ def test_sampled_rejects_zero_shots():
 
 
 def _index_scatter_state(n, t, x):
-    """The state built by scattering 1/sqrt(B) over the sorted weight index."""
+    """The state built by scattering 1 over the sorted weight index, signing,
+    transforming the whole cube and dividing once by sqrt(B 2^n)."""
     strings = build_weight_index(n, t)
     state = np.zeros(1 << n)
-    state[strings] = 1.0 / math.sqrt(strings.size)
+    state[strings] = 1.0
     state *= 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n, dtype=np.int64) & x) & 1)
     fwht_in_place(state)
-    state /= math.sqrt(1 << n)
+    state /= math.sqrt(strings.size << n)
     return state
 
 
@@ -190,7 +201,8 @@ def test_sampled_distance_classes_match_exact_distribution():
     assert chi2 < 22.46  # the 0.999 quantile of chi-square with 6 degrees of freedom
 
 
-def test_sampled_peak_memory_is_state_plus_one_transform_buffer():
+def test_sampled_peak_memory_is_the_state_alone():
+    # the state is one product of half-cube tables: no 2^n transform buffer
     state_bytes = 8 << 20
     tracemalloc.start()
     try:
@@ -198,4 +210,4 @@ def test_sampled_peak_memory_is_state_plus_one_transform_buffer():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * state_bytes
+    assert peak <= 1.25 * state_bytes
