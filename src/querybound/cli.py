@@ -99,6 +99,8 @@ def cmd_vandam(args) -> tuple[list[str], list[dict], int]:
         raise ValueError("provide --t or --eps")
     t = args.t if args.t is not None else choose_t(n, args.eps)
     ref = asymptotic_reference_t(n, args.eps) if args.eps is not None else None
+    if args.x is not None and len(args.x) != n:
+        raise ValueError(f"--x must have n={n} characters, got {len(args.x)}")
     x = parse_bitstring(args.x) if args.x is not None else 0
     row = {
         "n": n, "t": t, "eps": args.eps, "reference_t": ref,

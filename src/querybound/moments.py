@@ -4,14 +4,17 @@ Tr(F_T^{2k}) = sum_i lambda_i^{2k} controls the spectral norm through 2k-th
 roots, and its expectation over a uniformly random sign table is what makes
 the norm concentrate.  Everything here that claims exactness sums integers
 and divides once at the end; the exhaustive moments hold them in float64,
-kept below 2^53 by a guard on k, so every operation is exact.  The
-partition sign sum behind the higher moments is summed over point tuples
-only: the sum over each weight-<= t string collapses to one value of a
-single Walsh transform, an exact integer.
+kept below 2^53 by a guard on k, so every operation is exact.  The trace
+does not change when f(x) becomes f(x XOR a) or -f, so the exhaustive
+average runs over one least table per orbit of those 2^(n+1) maps, weighted
+by the orbit's size.  The partition sign sum behind the higher moments is
+summed over point tuples only: the sum over each weight-<= t string
+collapses to one value of a single Walsh transform, an exact integer.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -52,7 +55,13 @@ def _bound_scale(n: int, t: int, k: int) -> float:
 
 
 def trace_moment(f: BooleanFunction, t: int, k: int) -> MomentReport:
-    """Exact Tr(F_T^{2k}) for one function, via dense eigenvalues."""
+    """Tr(F_T^{2k}) for one function, as the sum of float64 eigenvalue powers.
+
+    The dense eigenvalues carry rounding error, so the value is not exact: at
+    n = 7, T = 3, k = 2 majority gives 30.19775390624999 for the exact
+    30.19775390625.  The method label stays "dense_exact", the name the output
+    schema records for the one-function method.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     op = build_dense(f, t)
@@ -62,24 +71,59 @@ def trace_moment(f: BooleanFunction, t: int, k: int) -> MomentReport:
                         bound_ratio=value / _bound_scale(f.n, t, k))
 
 
+@functools.cache
+def _sign_table_orbits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least table index and size of each orbit of f(x) -> f(x XOR a) and f -> -f.
+
+    Table j is f(x) = (-1)^(bit x of j).  Translating by a = 2^i moves bit x
+    to bit x XOR 2^i, which swaps neighbouring 2^i-bit blocks of j, so a Gray
+    code walk over a reaches every translate with one block swap each; the
+    complement of all 2^n bits is -f.  The least of an index's 2^(n+1) images
+    names its orbit, and one image is held at a time.  Both arrays are shared,
+    so read-only; an orbit's size divides 2^(n+1).
+    """
+    m = 1 << n
+    full = (1 << m) - 1
+    index = np.arange(1 << m, dtype=np.int64)
+    least = np.minimum(index, index ^ full)
+    masks = [sum(1 << x for x in range(m) if not x >> i & 1) for i in range(n)]
+    image = index
+    for step in range(1, m):
+        i = (step & -step).bit_length() - 1  # the bit of a that step flips
+        image = ((image & masks[i]) << (1 << i)) | ((image >> (1 << i)) & masks[i])
+        np.minimum(least, image, out=least)
+        np.minimum(least, image ^ full, out=least)
+    reps, sizes = np.unique(least, return_counts=True)
+    reps.flags.writeable = False
+    sizes.flags.writeable = False
+    return reps, sizes
+
+
 def expected_trace_moment_exhaustive(n: int, t: int, k: int) -> MomentReport:
     """Average Tr(F_T^{2k}) over every one of the 2^(2^n) sign tables, exactly.
 
     Works on the integer matrix A = 2^n * F_T, whose entries are Walsh sums
-    A[u, v] = sum_x (-1)^((u XOR v).x) f(x).  A is symmetric, so
-    Tr(A^{2k}) = ||A^k||_F^2: each chunk of tables forms P = A^k with k - 1
-    batched float64 products and sums P * P per table.  The single division
-    at the end is performed as a Fraction, so for k = 1 the result is a
-    dyadic rational that converts to float without rounding.
+    A[u, v] = sum_x (-1)^((u XOR v).x) f(x).  Replacing f(x) by f(x XOR a)
+    multiplies each Walsh sum at s by (-1)^(s.a), so A becomes D A D with
+    D = diag((-1)^(u.a)), D^2 = I; replacing f by -f gives -A.  Neither
+    changes Tr(A^{2k}), so the sum over all tables is the sum over one
+    representative per orbit of these 2^(n+1) maps, each weighted by its
+    orbit's size (2288 orbits for the 65536 tables at n = 4).  A is
+    symmetric, so Tr(A^{2k}) = ||A^k||_F^2: the stack of representatives
+    forms P = A^k with k - 1 batched float64 products and sums P * P per
+    table.  The single division at the end is performed as a Fraction, so
+    for k = 1 the result is a dyadic rational that converts to float without
+    rounding.
 
     The values are integers held in float64, and the guard
-    chunk * B * m^(2k) < 2^63 (m = 2^n) keeps every one below 2^53, so no
+    2^12 * B * m^(2k) < 2^63 (m = 2^n) keeps every one below 2^53, so no
     operation rounds, in whatever order BLAS sums.  ||A|| <= m, so every
     entry of A^j (j <= k) and every partial sum of its product, which is an
     entry of A^(j-1) D A for a 0/1 diagonal D, is at most m^k < 2^26.  Every
     partial sum of ||P||_F^2 is at most Tr(A^{2k}) <= B * m^(2k) < 2^51.  The
-    per-table sums are then converted to int64, and a chunk of them stays
-    below 2^63.
+    per-orbit traces are then converted to int64 and summed per orbit size;
+    a group holds at most 2288 < 2^12 of them, so its sum stays below 2^63,
+    and the weighted total is a Python int.
     """
     _check_exhaustive_bits(n, "expectation")
     if k < 1:
@@ -87,24 +131,19 @@ def expected_trace_moment_exhaustive(n: int, t: int, k: int) -> MomentReport:
     m = 1 << n
     strings = build_weight_index(n, t)
     b = strings.size
-    chunk = 1 << 12
-    if chunk * b * m ** (2 * k) >= 2**63:
+    if (1 << 12) * b * m ** (2 * k) >= 2**63:
         raise ValueError(f"k={k} overflows the exact integer path at n={n}, t={t}")
+    reps, sizes = _sign_table_orbits(n)
     grid = np.arange(m, dtype=np.int64)
-    walsh = walsh_matrix(n)
-    xor_table = strings[:, None] ^ strings[None, :]
-    total = 0
-    n_funcs = 1 << m
-    for start in range(0, n_funcs, chunk):
-        fi = np.arange(start, min(start + chunk, n_funcs), dtype=np.int64)
-        signs = 1.0 - 2.0 * ((fi[:, None] >> grid[None, :]) & 1)
-        wf = signs @ walsh  # wf[j, s] = sum_x (-1)^(s.x) f_j(x)
-        a = np.take(wf, xor_table, axis=1)  # C-contiguous (tables, B, B)
-        p = a
-        for _ in range(k - 1):
-            p = p @ a
-        total += int(np.einsum("ijk,ijk->i", p, p).astype(np.int64).sum())
-    exact = Fraction(total, n_funcs * m ** (2 * k))
+    signs = 1.0 - 2.0 * ((reps[:, None] >> grid[None, :]) & 1)
+    wf = signs @ walsh_matrix(n)  # wf[j, s] = sum_x (-1)^(s.x) f_j(x)
+    a = np.take(wf, strings[:, None] ^ strings[None, :], axis=1)  # C-contiguous (orbits, B, B)
+    p = a
+    for _ in range(k - 1):
+        p = p @ a
+    traces = np.einsum("ijk,ijk->i", p, p).astype(np.int64)
+    total = sum(int(size) * int(traces[sizes == size].sum()) for size in np.unique(sizes))
+    exact = Fraction(total, (1 << m) * m ** (2 * k))
     value = float(exact)
     return MomentReport(n=n, t=t, k=k, value=value, stderr=0.0,
                         method="exhaustive_expectation",

@@ -450,6 +450,15 @@ def test_vandam_rejects_zero_shots(capsys):
     assert "shots" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x, got", [("010", 3), ("01000", 5)], ids=["short", "long-trailing-zero"])
+def test_vandam_rejects_x_of_wrong_length(x, got, capsys):
+    # both used to be accepted and print x=0100, padded or with the zero dropped
+    code = main(["vandam", "--n", "4", "--t", "2", "--x", x])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: --x must have n=4 characters, got {got}\n"
+
+
 def _stdout(cli_args, openblas_threads=None):
     """CLI stdout with every thread variable unset, or with only OPENBLAS_NUM_THREADS set."""
     argv = [sys.executable, "-m", "querybound.cli", *cli_args]

@@ -15,6 +15,7 @@ from querybound.cli import main
 from querybound.fourier_operator import build_dense, spectral_norm
 from querybound.moments import (
     PartitionSpec,
+    _sign_table_orbits,
     claim2_bruteforce,
     evenness_check,
     expected_sign_product,
@@ -22,7 +23,7 @@ from querybound.moments import (
     expected_trace_moment_mc,
     trace_moment,
 )
-from querybound.transforms import binomial_sum, build_weight_index
+from querybound.transforms import binomial_sum, build_weight_index, walsh_matrix
 
 
 def test_trace_full_truncation_is_dimension():
@@ -346,3 +347,93 @@ def test_exhaustive_n4_benchmark_cases_pinned(t, k, value):
 def test_exhaustive_n4_guard_edge_pinned(t, k, value):
     assert k == _guard_max_k(4, t)
     assert expected_trace_moment_exhaustive(4, t, k).value == value
+
+
+def _translate_table(code: int, m: int, a: int) -> int:
+    """Index of the table f(x XOR a), for table code with f(x) = (-1)^(bit x of code)."""
+    return sum(((code >> (x ^ a)) & 1) << x for x in range(m))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sign_table_orbits_partition_every_table(n):
+    m = 1 << n
+    reps, sizes = _sign_table_orbits(n)
+    assert not reps.flags.writeable and not sizes.flags.writeable
+    assert int(sizes.sum()) == 1 << m
+    assert all((2 << n) % int(size) == 0 for size in sizes)
+    seen = set()
+    for rep, size in zip(reps.tolist(), sizes.tolist()):
+        translates = {_translate_table(rep, m, a) for a in range(m)}
+        orbit = translates | {code ^ ((1 << m) - 1) for code in translates}
+        assert min(orbit) == rep and len(orbit) == size
+        assert not orbit & seen
+        seen |= orbit
+    assert len(seen) == 1 << m
+
+
+def test_sign_table_orbit_count_n4():
+    reps, sizes = _sign_table_orbits(4)
+    assert reps.size == 2288
+    # each orbit-size group is summed in int64 under the guard's 2^12 factor
+    assert max(np.unique(sizes, return_counts=True)[1]) <= 1 << 12
+
+
+def _full_table_trace_moment(n: int, t: int, k: int) -> Fraction:
+    """The exhaustive moment as a loop over all 2^(2^n) tables in chunks of 4096."""
+    m = 1 << n
+    strings = build_weight_index(n, t)
+    grid = np.arange(m, dtype=np.int64)
+    xor_table = strings[:, None] ^ strings[None, :]
+    total = 0
+    for start in range(0, 1 << m, 1 << 12):
+        fi = np.arange(start, min(start + (1 << 12), 1 << m), dtype=np.int64)
+        signs = 1.0 - 2.0 * ((fi[:, None] >> grid[None, :]) & 1)
+        a = np.take(signs @ walsh_matrix(n), xor_table, axis=1)
+        p = a
+        for _ in range(k - 1):
+            p = p @ a
+        total += int(np.einsum("ijk,ijk->i", p, p).astype(np.int64).sum())
+    return Fraction(total, (1 << m) * m ** (2 * k))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exhaustive_orbit_sum_equals_full_table_loop(n):
+    for t in range(n + 1):
+        for k in range(1, _guard_max_k(n, t) + 1):
+            rep = expected_trace_moment_exhaustive(n, t, k)
+            assert rep.value == float(_full_table_trace_moment(n, t, k)), (t, k)
+
+
+def _integer_trace_power(a: list[list[int]], power: int) -> int:
+    p = a
+    for _ in range(power - 1):
+        p = _integer_matmul(p, a)
+    return sum(p[i][i] for i in range(len(p)))
+
+
+def _scaled_operator(f: BooleanFunction, t: int) -> list[list[int]]:
+    return np.rint(build_dense(f, t).dense_matrix * (1 << f.n)).astype(np.int64).tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_trace_moment_invariant_under_translation_and_negation(n, data):
+    t = data.draw(st.integers(0, n))
+    k = data.draw(st.integers(1, 3))
+    a = data.draw(st.integers(0, (1 << n) - 1))
+    f = sample_uniform(n, data.draw(st.integers(0, 2**32 - 1)))
+    shifted = BooleanFunction(n, f.signs[np.arange(1 << n) ^ a])
+    traces = {_integer_trace_power(_scaled_operator(g, t), 2 * k)
+              for g in (f, shifted, f.negated())}
+    assert len(traces) == 1
+
+
+def test_exhaustive_peak_memory_n4():
+    expected_trace_moment_exhaustive(4, 4, 2)  # warm the orbit and Walsh caches
+    tracemalloc.start()
+    try:
+        expected_trace_moment_exhaustive(4, 4, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 << 20
