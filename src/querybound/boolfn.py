@@ -185,8 +185,9 @@ def read_truth_table(path: str | Path) -> BooleanFunction:
         n = int(lines[0][2:])
     except ValueError:
         raise ValueError(f"{path}: malformed bit count {lines[0]!r}") from None
+    check_bits(n)
     row = lines[1].strip()
-    if n < 1 or len(row) != (1 << n):
+    if len(row) != (1 << n):
         raise ValueError(f"{path}: sign row must hold exactly 2^{n} characters, got {len(row)}")
     if any(c not in "+-" for c in row):
         raise ValueError(f"{path}: sign row may only contain '+' and '-'")

@@ -116,14 +116,15 @@ def build_dense(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
 
 
 def _gather_xor(coeffs: np.ndarray, strings: np.ndarray, out: np.ndarray) -> None:
-    """out[i, j] = coeffs[strings[i] ^ strings[j]], a block of rows at a time.
+    """out[..., i, j] = coeffs[..., strings[i] ^ strings[j]], a block of rows at a time.
 
-    A block of 256 rows keeps the int64 XOR indices at 8 MiB for B = 4096,
-    where a whole table would take as much as out itself.
+    A leading axis of coeffs gathers a stack of matrices.  A block of 256 rows
+    keeps the int64 XOR indices at 8 MiB for B = 4096, where a whole table
+    would take as much as one matrix of out itself.
     """
     for lo in range(0, strings.shape[0], 256):
         rows = strings[lo:lo + 256, None] ^ strings[None, :]
-        np.take(coeffs, rows, out=out[lo:lo + 256], mode="clip")
+        np.take(coeffs, rows, axis=-1, out=out[..., lo:lo + 256, :], mode="clip")
 
 
 def build_matrix_free(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
@@ -191,8 +192,8 @@ def spectral_norm(
     norms, which do not change.  The norm and claim1-sweep rows pass no
     threshold and report the explicit residual.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if 2 * op.t < fourier(op.f).lowest_weight:

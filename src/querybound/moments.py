@@ -2,10 +2,10 @@
 
 Tr(F_T^{2k}) = sum_i lambda_i^{2k} controls the spectral norm through 2k-th
 roots, and its expectation over a uniformly random sign table is what makes
-the norm concentrate.  Everything here that claims exactness sums integers
-and divides once at the end; the exhaustive moments hold them in float64,
-kept below 2^53 by a guard on k, so every operation is exact.  The trace
-does not change when f(x) becomes f(x XOR a) or -f, so the exhaustive
+the norm concentrate.  Every trace moment here is ||F_T^k||_F^2, formed by
+one float64 kernel that is exact whenever B 2^(2nk) < 2^53; the exhaustive
+average guards k so that it always is, and divides once at the end.  The
+trace does not change when f(x) becomes f(x XOR a) or -f, so the exhaustive
 average runs over one least table per orbit of those 2^(n+1) maps, weighted
 by the orbit's size.  The partition sign sum behind the higher moments is
 summed over point tuples only: the sum over each weight-<= t string
@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfn import BooleanFunction, derive_seeds, map_trials, sample_uniform
-from .fourier_operator import build_dense
+from .fourier_operator import _gather_xor, build_dense
 from .transforms import binomial_sum, build_weight_index, check_bits, fwht_in_place, walsh_matrix
 
 _EXHAUSTIVE_MAX_N = 4  # 2^(2^4) = 65536 sign tables is the largest exhaustible space
@@ -54,19 +54,29 @@ def _bound_scale(n: int, t: int, k: int) -> float:
     return b * (b / (1 << n)) ** k
 
 
-def trace_moment(f: BooleanFunction, t: int, k: int) -> MomentReport:
-    """Tr(F_T^{2k}) for one function, as the sum of float64 eigenvalue powers.
+def _power_traces(a: np.ndarray, k: int) -> np.ndarray:
+    """Tr(a^{2k}) = ||a^k||_F^2 of a symmetric matrix, or of each matrix of a stack.
 
-    The dense eigenvalues carry rounding error, so the value is not exact: at
-    n = 7, T = 3, k = 2 majority gives 30.19775390624999 for the exact
-    30.19775390625.  The method label stays "dense_exact", the name the output
-    schema records for the one-function method.
+    matrix_power multiplies only powers a^i a^j with i + j <= k (in sequence
+    for k <= 3, by binary powering beyond).  For the integer A = 2^n F_T,
+    ||A|| <= 2^n, and every entry and partial sum of such a product is an
+    entry of A^i D A^j for a 0/1 diagonal D, so at most 2^(nk); every partial
+    sum of ||A^k||_F^2 is at most Tr(A^{2k}) <= B 2^(2nk).  So no operation
+    rounds when B 2^(2nk) < 2^53, in whatever order BLAS sums, and neither
+    does the same computation on F_T = A / 2^n, scaled by powers of two.
+    """
+    p = np.linalg.matrix_power(a, k)
+    return np.einsum("...ij,...ij->...", p, p)
+
+
+def trace_moment(f: BooleanFunction, t: int, k: int) -> MomentReport:
+    """Tr(F_T^{2k}) of one function's dense F_T, exact whenever B 2^(2nk) < 2^53.
+
+    Past that bound it is a float64 sum of squares of the entries of F_T^k.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    op = build_dense(f, t)
-    eigs = np.linalg.eigvalsh(op.dense_matrix)
-    value = float(np.sum(eigs ** (2 * k)))
+    value = float(_power_traces(build_dense(f, t).dense_matrix, k))
     return MomentReport(n=f.n, t=t, k=k, value=value, stderr=0.0, method="dense_exact",
                         bound_ratio=value / _bound_scale(f.n, t, k))
 
@@ -108,22 +118,14 @@ def expected_trace_moment_exhaustive(n: int, t: int, k: int) -> MomentReport:
     D = diag((-1)^(u.a)), D^2 = I; replacing f by -f gives -A.  Neither
     changes Tr(A^{2k}), so the sum over all tables is the sum over one
     representative per orbit of these 2^(n+1) maps, each weighted by its
-    orbit's size (2288 orbits for the 65536 tables at n = 4).  A is
-    symmetric, so Tr(A^{2k}) = ||A^k||_F^2: the stack of representatives
-    forms P = A^k with k - 1 batched float64 products and sums P * P per
-    table.  The single division at the end is performed as a Fraction, so
-    for k = 1 the result is a dyadic rational that converts to float without
-    rounding.
-
-    The values are integers held in float64, and the guard
-    2^12 * B * m^(2k) < 2^63 (m = 2^n) keeps every one below 2^53, so no
-    operation rounds, in whatever order BLAS sums.  ||A|| <= m, so every
-    entry of A^j (j <= k) and every partial sum of its product, which is an
-    entry of A^(j-1) D A for a 0/1 diagonal D, is at most m^k < 2^26.  Every
-    partial sum of ||P||_F^2 is at most Tr(A^{2k}) <= B * m^(2k) < 2^51.  The
-    per-orbit traces are then converted to int64 and summed per orbit size;
-    a group holds at most 2288 < 2^12 of them, so its sum stays below 2^63,
-    and the weighted total is a Python int.
+    orbit's size (2288 orbits for the 65536 tables at n = 4).  _power_traces
+    forms the traces of the stack of representatives, and the guard
+    2^12 * B * m^(2k) < 2^63 (m = 2^n) keeps it exact.  The traces are
+    converted to int64 and summed per orbit size; a group holds at most
+    2288 < 2^12 of them, so its sum stays below 2^63, and the weighted total
+    is a Python int.  The single division at the end is performed as a
+    Fraction, so for k = 1 the result is a dyadic rational that converts to
+    float without rounding.
     """
     _check_exhaustive_bits(n, "expectation")
     if k < 1:
@@ -134,14 +136,10 @@ def expected_trace_moment_exhaustive(n: int, t: int, k: int) -> MomentReport:
     if (1 << 12) * b * m ** (2 * k) >= 2**63:
         raise ValueError(f"k={k} overflows the exact integer path at n={n}, t={t}")
     reps, sizes = _sign_table_orbits(n)
-    grid = np.arange(m, dtype=np.int64)
-    signs = 1.0 - 2.0 * ((reps[:, None] >> grid[None, :]) & 1)
-    wf = signs @ walsh_matrix(n)  # wf[j, s] = sum_x (-1)^(s.x) f_j(x)
-    a = np.take(wf, strings[:, None] ^ strings[None, :], axis=1)  # C-contiguous (orbits, B, B)
-    p = a
-    for _ in range(k - 1):
-        p = p @ a
-    traces = np.einsum("ijk,ijk->i", p, p).astype(np.int64)
+    signs = 1.0 - 2.0 * ((reps[:, None] >> np.arange(m)) & 1)
+    a = np.empty((reps.size, b, b))  # a[j] = 2^n F_T of table reps[j], from its Walsh sums
+    _gather_xor(signs @ walsh_matrix(n), strings, a)
+    traces = _power_traces(a, k).astype(np.int64)
     total = sum(int(size) * int(traces[sizes == size].sum()) for size in np.unique(sizes))
     exact = Fraction(total, (1 << m) * m ** (2 * k))
     value = float(exact)

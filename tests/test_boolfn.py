@@ -141,6 +141,13 @@ def test_truth_table_rejects_malformed(tmp_path):
         read_truth_table(p)
 
 
+def test_truth_table_checks_the_bit_cap_before_the_row(tmp_path):
+    p = tmp_path / "big.txt"
+    p.write_text("n=27\n++\n")
+    with pytest.raises(ValueError, match=r"^n must lie in 1\.\.26, got 27$"):
+        read_truth_table(p)
+
+
 @pytest.fixture
 def blas_threads_at_two():
     """get_num_threads of numpy's OpenBLAS, with the count set to 2 for the test."""

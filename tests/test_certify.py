@@ -192,3 +192,11 @@ def test_refutation_past_dense_cap_is_empirical():
     assert 5 < bound.lower_bound_t and bound.evidence[5].method == "lanczos"
     assert bound.evidence[5].value == pytest.approx(2 * 4944 / 2**15, abs=1e-12)
     assert bound.status == "empirical"
+
+
+def test_claim1_median_norm_sits_at_the_compression_edge():
+    # F_T compresses the reflection H diag(f) H to B of 2^n dimensions, and the
+    # spectrum of a typical compression ends at 2 sqrt(q (1 - q)), q = B / 2^n
+    for row in run_claim1_sweep(list(range(10, 15)), 0.4, 9, 11):
+        q = row["b"] / (1 << row["n"])
+        assert 0.95 <= row["median_norm"] / (2 * math.sqrt(q * (1 - q))) <= 1.15, row

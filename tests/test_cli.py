@@ -168,6 +168,14 @@ def test_claim1_sweep_checks_every_n_before_sampling(ns, bad, monkeypatch, capsy
     assert captured.err == f"error: n must lie in 1..26, got {bad}\n"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_norm_refuses_a_tol_that_is_not_positive_and_finite(tol, capsys):
+    code = main(["norm", "--family", "majority", "--n", "11", "--t", "3", "--matrix-free", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: tol must be positive and finite, got {tol}\n"
+
+
 def test_missing_function_file_is_an_error(tmp_path, capsys):
     code = main(["norm", "--function-file", str(tmp_path / "absent.txt"), "--t", "1"])
     captured = capsys.readouterr()

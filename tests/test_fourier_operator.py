@@ -195,8 +195,10 @@ def test_threshold_skips_only_the_replay():
 
 
 def test_spectral_norm_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        spectral_norm(build_matrix_free(sample_uniform(5, 0), 2), tol=0.0)
+    op = build_matrix_free(sample_uniform(5, 0), 2)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            spectral_norm(op, tol=tol)
 
 
 _MATRIX_FREE_GOLDENS = {"certify-matrix-free"}  # pins certify's bytes past the dense rule

@@ -437,3 +437,30 @@ def test_exhaustive_peak_memory_n4():
     finally:
         tracemalloc.stop()
     assert peak <= 12 << 20
+
+
+def test_trace_moment_majority_is_exact():
+    assert trace_moment(make_family("majority", 7), 3, 2).value == 30.19775390625
+
+
+def test_trace_moment_equals_integer_oracle_on_every_n3_table():
+    # B 2^(2nk) < 2^53 bounds every entry and partial sum, so no operation rounds
+    n = 3
+    for code in range(1 << (1 << n)):
+        f = BooleanFunction(n, 1.0 - 2.0 * ((code >> np.arange(1 << n)) & 1))
+        for t in range(n + 1):
+            b, a = binomial_sum(n, t), _scaled_operator(f, t)
+            power = a
+            for k in itertools.count(1):
+                if b << (2 * n * k) >= 2**53:
+                    break
+                power = _integer_matmul(power, a)  # A^(2k) after the second product
+                trace = sum(power[i][i] for i in range(b))
+                assert Fraction(trace_moment(f, t, k).value) == Fraction(trace, 1 << (2 * n * k))
+                power = _integer_matmul(power, a)
+
+
+def test_trace_moment_high_k_matches_eigenvalue_powers():
+    f = sample_uniform(8, 64)
+    eigs = np.linalg.eigvalsh(build_dense(f, 3).dense_matrix)
+    assert trace_moment(f, 3, 64).value == pytest.approx(float(np.sum(eigs ** 128)), rel=1e-12)
