@@ -499,6 +499,15 @@ def test_vandam_n20_bytes_independent_of_blas_threads():
     assert outputs[0].startswith(b"schema_version") and outputs[0] == outputs[1]
 
 
+def test_vandam_n24_bytes_independent_of_blas_threads():
+    # n = 24 evaluates only the touched rows of 2^12 amplitudes, each an exact
+    # integer product of half-cube rows, and searches exact integer masses
+    outputs = _stdout_one_blas_thread_and_default(
+        ["vandam", "--n", "24", "--eps", "0.1", "--x", "110100101100011101001011",
+         "--shots", "1000", "--seed", "1"])
+    assert outputs[0].startswith(b"schema_version") and outputs[0] == outputs[1]
+
+
 def test_pooled_certify_bytes_independent_of_blas_threads_and_equal_serial():
     # a pool runs each trial's BLAS on one thread: the dense eigvalsh digits
     # are those of a serial run under OPENBLAS_NUM_THREADS=1

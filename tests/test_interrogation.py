@@ -11,8 +11,10 @@ from querybound.interrogation import (
     simulate_sampled,
     success_probability_closed_form,
     _final_state,
+    _half_cube_factors,
+    _row_masses,
 )
-from querybound.transforms import build_weight_index, fwht_in_place
+from querybound.transforms import binomial_sum, build_weight_index, fwht_in_place
 
 
 def test_pinned_probabilities():
@@ -211,3 +213,68 @@ def test_sampled_peak_memory_is_the_state_alone():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * state_bytes
+
+
+def _integer_amplitudes(n, t, x):
+    """The final state times sqrt(B 2^n), rounded to the exact integers it holds."""
+    return np.rint(_final_state(n, t, x) * math.sqrt(binomial_sum(n, t) << n)).astype(np.int64)
+
+
+def _flat_inverse_cdf_counts(n, t, x, shots, seed):
+    """Literal sampler: one cumulative sum of the integer masses over all 2^n strings."""
+    cdf = np.cumsum(np.square(_integer_amplitudes(n, t, x)))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = np.concatenate([
+        np.searchsorted(cdf, np.floor(rng.random(min(shots - done, 1 << 20)) * cdf[-1]), side="right")
+        for done in range(0, shots, 1 << 20)])
+    hit, counts = np.unique(draws, return_counts=True)
+    return dict(zip(hit.tolist(), counts.tolist()))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_sampled_equals_exact_integer_flat_inverse_cdf(n):
+    # row masses, then a column within the row: the same string as one flat
+    # search over the integer masses, draw for draw
+    for t in sorted({0, 1, n // 2, n - 1, n} & set(range(n + 1))):
+        for x in {0, (1 << n) - 1, 0x2D6B % (1 << n)}:
+            for shots in (1, 1000):
+                seed = 31 * n + 7 * t + x % 5 + shots
+                got = simulate_sampled(n, t, x, shots, seed).sampled_counts
+                assert got == _flat_inverse_cdf_counts(n, t, x, shots, seed), (t, x, shots)
+    t, x, shots, seed = n // 2, 0x1B3 % (1 << n), (1 << 20) + 3, n
+    got = simulate_sampled(n, t, x, shots, seed).sampled_counts
+    assert got == _flat_inverse_cdf_counts(n, t, x, shots, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 11, 14])
+def test_row_masses_are_exact_row_sums_of_squares(n):
+    for t in range(n + 1):
+        x = 0x35A9 % (1 << n)
+        lo, a, b = _half_cube_factors(n, t, x)
+        rows = np.square(_integer_amplitudes(n, t, x)).reshape(-1, 1 << lo).sum(axis=1)
+        masses = _row_masses(a, b)
+        assert masses.dtype == np.int64 and np.array_equal(masses, rows)
+        assert int(masses.sum()) == binomial_sum(n, t) << n
+
+
+@pytest.mark.parametrize("simulate", [
+    lambda: simulate_sampled(24, 15, 0xA5C3E1, shots=1000, seed=4),
+    lambda: simulate_exact(24, 15, 0xA5C3E1),
+], ids=["sampled", "exact"])
+def test_n24_never_allocates_the_state(simulate):
+    # the 2^24-double state alone would be 128 MiB
+    tracemalloc.start()
+    try:
+        simulate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20
+
+
+def test_sampled_n24_boundary_draw_follows_exact_masses():
+    # the literal integer oracle above, run once at this size (256 MiB), hits
+    # 85647 distinct strings; a float CDF of rounded probabilities sends one
+    # boundary draw elsewhere and hits 85646
+    out = simulate_sampled(24, 12, 12345, shots=1 << 20, seed=9)
+    assert len(out.sampled_counts) == 85647 and out.sampled_counts[12345] == 609169
