@@ -263,7 +263,10 @@ CLAIM1_FIELDS = [
 
 
 def cmd_claim1(args) -> tuple[list[str], list[dict], int]:
-    ns = [int(v) for v in args.ns.split(",")]
+    try:
+        ns = [int(v) for v in args.ns.split(",")]
+    except ValueError:
+        raise ValueError(f"cannot parse --ns {args.ns!r}; expected e.g. '10,12,14'") from None
     rows = run_claim1_sweep(ns, args.t_rule, args.trials, args.seed, tol=args.tol,
                             max_iter=args.max_iter, threads=args.threads,
                             include_family=args.include_family)

@@ -107,7 +107,7 @@ def build_dense(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
     """Materialize the B x B matrix fhat(s XOR t) over weight-<= t strings."""
     b = binomial_sum(f.n, t)
     if b > DENSE_LIMIT:
-        raise ValueError(f"B={b} exceeds the dense budget {DENSE_LIMIT}; use build_matrix_free")
+        raise ValueError(f"B={b} exceeds the dense budget {DENSE_LIMIT}")
     strings = build_weight_index(f.n, t)
     dense = np.empty((b, b))
     _gather_xor(fourier(f).coeffs, strings, dense)

@@ -9,7 +9,8 @@ trace does not change when f(x) becomes f(x XOR a) or -f, so the exhaustive
 average runs over one least table per orbit of those 2^(n+1) maps, weighted
 by the orbit's size.  The partition sign sum behind the higher moments is
 summed over point tuples only: the sum over each weight-<= t string
-collapses to one value of a single Walsh transform, an exact integer.
+collapses to one value of the Hamming ball's Walsh transform, an exact
+integer that depends only on the weight of its argument.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .boolfn import BooleanFunction, derive_seeds, map_trials, sample_uniform
 from .fourier_operator import _gather_xor, build_dense
-from .transforms import binomial_sum, build_weight_index, check_bits, fwht_in_place, walsh_matrix
+from .transforms import ball_transform, binomial_sum, build_weight_index, check_bits, walsh_matrix
 
 _EXHAUSTIVE_MAX_N = 4  # 2^(2^4) = 65536 sign tables is the largest exhaustible space
 _CLAIM2_BUDGET = 10**8
@@ -206,7 +207,7 @@ class Claim2Result:
 
 
 def claim2_bruteforce(n: int, t: int, spec: PartitionSpec) -> Claim2Result:
-    """Exact value of the partition-indexed sign sum, as one Walsh transform.
+    """Exact value of the partition-indexed sign sum, over point tuples only.
 
     As defined, the sum runs over every tuple (s_1..s_m) of weight-<= t
     strings: with e_i = s_i XOR s_{i+1} (cyclically) and t_j the XOR of e_i
@@ -222,12 +223,12 @@ def claim2_bruteforce(n: int, t: int, spec: PartitionSpec) -> Claim2Result:
         total = sum over distinct (x_1..x_r) of prod_i K(x_p(i) XOR x_p(i-1)),
 
     with K(z) = sum_{|s| <= t} (-1)^(s.z), the Walsh transform of the
-    weight-<= t indicator.  K is exact in float64 and |K| <= B, so every
-    product is an int64 of at most B^m.  The product depends only on XORs of
-    the x_j, so shifting every x_j by one point keeps it: the sum is 2^n times
-    its part with x_1 = 0.  With a single part every XOR is 0 and the total is
-    exactly B^m * 2^n; general partitions are what the moment bound's
-    induction controls, so the exact value is reported next to
+    weight-<= t Hamming ball: K(z) = ball_transform(n, t)[|z|], and |K| <= B,
+    so every product is an int64 of at most B^m.  The product depends only on
+    XORs of the x_j, so shifting every x_j by one point keeps it: the sum is
+    2^n times its part with x_1 = 0.  With a single part every XOR is 0 and
+    the total is exactly B^m * 2^n; general partitions are what the moment
+    bound's induction controls, so the exact value is reported next to
     B^(m-r+1) * 2^(nr).
     """
     check_bits(n)
@@ -236,8 +237,7 @@ def claim2_bruteforce(n: int, t: int, spec: PartitionSpec) -> Claim2Result:
     budget = b**m * (1 << (n * r))
     if budget > _CLAIM2_BUDGET:
         raise ValueError(f"enumeration needs {budget} > {_CLAIM2_BUDGET} elementary terms")
-    cube = np.arange(1 << n, dtype=np.int64)
-    kernel = fwht_in_place((np.bitwise_count(cube) <= t).astype(np.float64)).astype(np.int64)
+    kernel = ball_transform(n, t)[np.bitwise_count(np.arange(1 << n))]
     part_of = {i: j for j, part in enumerate(spec.parts) for i in part}
     edges = [(part_of[i], part_of[(i - 2) % m + 1]) for i in range(1, m + 1)]
 

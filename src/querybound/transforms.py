@@ -1,4 +1,4 @@
-"""Bit conventions, the fast Walsh-Hadamard transform, and weight-limited index sets.
+"""Bit conventions, Walsh-Hadamard transforms, and weight-limited index sets.
 
 Conventions used throughout the package:
 
@@ -78,6 +78,22 @@ def binomial_sum(n: int, t: int) -> int:
     if n < 0 or t < 0 or t > n:
         raise ValueError(f"need 0 <= t <= n, got n={n}, t={t}")
     return sum(math.comb(n, i) for i in range(t + 1))
+
+
+def ball_transform(n: int, t: int) -> np.ndarray:
+    """K[d] = sum_{|y| <= t} (-1)^(y.z) for any z of weight d, as int64, so K[0] = B.
+
+    K[d] sums the Krawtchouk values K_i(d) over i <= t, built by the exact
+    recurrence (i+1) K_{i+1} = (n - 2d) K_i - (n - i + 1) K_{i-1}.
+    """
+    check_bits(n)
+    if t < 0 or t > n:
+        raise ValueError(f"need 0 <= t <= n, got t={t}")
+    d = np.arange(n + 1, dtype=np.int64)
+    k = [np.zeros_like(d), np.ones_like(d)]  # K_{-1} and K_0
+    for i in range(t):
+        k.append(((n - 2 * d) * k[-1] - (n - i + 1) * k[-2]) // (i + 1))
+    return sum(k[1:])
 
 
 def binary_entropy(q: float) -> float:

@@ -93,6 +93,15 @@ def test_norm_dense_over_budget_fails(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [["norm", "--dense"], ["moments", "--method", "exact"]],
+                         ids=["norm", "moments"])
+def test_dense_past_the_budget_names_the_budget(argv, capsys):
+    code = main([*argv, "--family", "parity", "--n", "14", "--t", "7"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: B=9908 exceeds the dense budget 4096\n"
+
+
 def test_norm_function_file(tmp_path):
     path = tmp_path / "f.txt"
     write_truth_table(make_family("constant_plus", 5), path)
@@ -166,6 +175,14 @@ def test_claim1_sweep_checks_every_n_before_sampling(ns, bad, monkeypatch, capsy
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: n must lie in 1..26, got {bad}\n"
+
+
+@pytest.mark.parametrize("ns", ["6,,8", "6,x"], ids=["empty", "not-int"])
+def test_claim1_sweep_refuses_unparsable_ns(ns, capsys):
+    code = main(["claim1-sweep", "--ns", ns, "--trials", "2", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot parse --ns {ns!r}")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -491,8 +508,8 @@ def test_claim1_sweep_bytes_independent_of_blas_threads():
 
 
 def test_vandam_n20_bytes_independent_of_blas_threads():
-    # n = 20 transforms 2^10-long half-cube rows (two 5-bit factors each) and
-    # joins them in one matrix product; every product and sum is an exact integer.
+    # n = 20 gathers rows of exact integer amplitudes from one half-cube table;
+    # every mass and cumulative sum is an exact integer.
     outputs = _stdout_one_blas_thread_and_default(
         ["vandam", "--n", "20", "--eps", "0.1", "--x", "01101001110010110100",
          "--shots", "1000", "--seed", "1"])
@@ -500,8 +517,8 @@ def test_vandam_n20_bytes_independent_of_blas_threads():
 
 
 def test_vandam_n24_bytes_independent_of_blas_threads():
-    # n = 24 evaluates only the touched rows of 2^12 amplitudes, each an exact
-    # integer product of half-cube rows, and searches exact integer masses
+    # n = 24 gathers only the touched rows of 2^12 exact integer amplitudes
+    # from one half-cube table, and searches exact integer masses
     outputs = _stdout_one_blas_thread_and_default(
         ["vandam", "--n", "24", "--eps", "0.1", "--x", "110100101100011101001011",
          "--shots", "1000", "--seed", "1"])

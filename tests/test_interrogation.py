@@ -10,8 +10,8 @@ from querybound.interrogation import (
     simulate_exact,
     simulate_sampled,
     success_probability_closed_form,
+    _distance_rows,
     _final_state,
-    _half_cube_factors,
     _row_masses,
 )
 from querybound.transforms import binomial_sum, build_weight_index, fwht_in_place
@@ -204,7 +204,7 @@ def test_sampled_distance_classes_match_exact_distribution():
 
 
 def test_sampled_peak_memory_is_the_state_alone():
-    # the state is one product of half-cube tables: no 2^n transform buffer
+    # rows of the state are gathered from one half-cube table: no 2^n transform buffer
     state_bytes = 8 << 20
     tracemalloc.start()
     try:
@@ -250,9 +250,9 @@ def test_sampled_equals_exact_integer_flat_inverse_cdf(n):
 def test_row_masses_are_exact_row_sums_of_squares(n):
     for t in range(n + 1):
         x = 0x35A9 % (1 << n)
-        lo, a, b = _half_cube_factors(n, t, x)
+        lo, table, dh = _distance_rows(n, t, x)
         rows = np.square(_integer_amplitudes(n, t, x)).reshape(-1, 1 << lo).sum(axis=1)
-        masses = _row_masses(a, b)
+        masses = _row_masses(table, dh)
         assert masses.dtype == np.int64 and np.array_equal(masses, rows)
         assert int(masses.sum()) == binomial_sum(n, t) << n
 

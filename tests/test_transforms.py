@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from querybound.boolfn import fourier, sample_uniform
 from querybound.transforms import (
+    MAX_BITS,
+    ball_transform,
     binary_entropy,
     binomial_sum,
     build_weight_index,
@@ -137,6 +139,27 @@ def test_binomial_sum_rejects_bad_range():
         binomial_sum(4, -1)
     with pytest.raises(ValueError):
         binomial_sum(-2, 0)
+
+
+def test_ball_transform_is_the_walsh_transform_of_the_ball():
+    for n in range(1, 15):
+        weights = np.bitwise_count(np.arange(1 << n))
+        for t in range(n + 1):
+            walsh = fwht_in_place((weights <= t).astype(np.float64))
+            assert np.array_equal(ball_transform(n, t)[weights], walsh), (n, t)
+    # every n of the check_bits range against the Krawtchouk sum in Python ints
+    for n in range(1, MAX_BITS + 1):
+        krawtchouk = [[sum((-1) ** j * math.comb(d, j) * math.comb(n - d, i - j) for j in range(i + 1))
+                       for i in range(n + 1)] for d in range(n + 1)]
+        for t in range(n + 1):
+            got = ball_transform(n, t)
+            assert got.dtype == np.int64 and got.tolist() == [sum(k[:t + 1]) for k in krawtchouk], (n, t)
+
+
+def test_ball_transform_rejects_bad_args():
+    for n, t in ((4, 5), (4, -1), (0, 0), (MAX_BITS + 1, 3)):
+        with pytest.raises(ValueError):
+            ball_transform(n, t)
 
 
 def test_binary_entropy_values():
