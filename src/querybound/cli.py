@@ -417,6 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:  # every subcommand takes --seed
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         fieldnames, rows, code = args.fn(args)
         head = {"schema_version": SCHEMA_VERSION, "subcommand": args.command}
         write_rows([*head, *fieldnames], [head | row for row in rows], args.format, args.out)

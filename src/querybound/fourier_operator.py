@@ -42,8 +42,9 @@ DENSE_LIMIT = 4096
 # The rule is a pure function of (n, B), so a rerun never changes mode.  A
 # certificate's stopping T now runs only the first pass (spectral_norm's
 # threshold), but the model still counts two passes on purpose: the mode of a
-# truncation never depends on the caller.  Refitting it is left to the O(k)
-# Ritz check, which changes both terms.
+# truncation never depends on the caller.  The fit predates the copy-free
+# apply and the O(k) Ritz check, which make both _C_STEP and _C_POINT
+# smaller; it is not refitted yet.
 _C_DENSE = 1e-10
 _C_STEP = 5e-5
 _C_POINT = 6e-9
@@ -54,10 +55,11 @@ _K_HALF = 45
 # _MARGIN * tol: the explicit residual matches the estimate to a relative
 # 1e-8 or so, and the margin keeps converged runs inside tol.
 _MARGIN = 0.5
-# Steps between the first pass's checks on its small tridiagonal matrix:
-# each check is an O(k^3) dense eigh, and a longer interval overshoots by up
-# to this many steps in both passes.  10 measured fastest of 5, 10 and 15 on
-# n = 12..15, where checks at every 5th step took 13% of the norm time.
+# Steps between the first pass's checks on its small tridiagonal matrix: a
+# longer interval overshoots by up to this many steps in both passes.  Each
+# check is O(k) (LAPACK dstevx for the two extreme eigenpairs), and only a
+# check that looks converged runs the O(k^3) dense eigh that decides.  10
+# measured fastest of 5, 10 and 15 on n = 12..15 when every check ran eigh.
 _CHECK_EVERY = 10
 
 
@@ -76,28 +78,36 @@ class TruncatedFourierOperator:
     def size(self) -> int:
         return self.strings.size
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def apply(self, v: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+        """F_T v.  A matrix-free apply may reuse work, two float64 buffers of 2^n (see workspace)."""
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.size,):
             raise ValueError(f"vector must have length {self.size}, got shape {v.shape}")
         if self.dense_matrix is not None:
             return self.dense_matrix @ v
         # Scatter to the full cube, conjugate by the transform, gather back.
-        # Fresh scratch per call keeps concurrent applies on one operator safe.
-        n = self.f.n
-        buf = np.zeros(1 << n)
+        # Scratch of the caller's own, or fresh per call, keeps concurrent
+        # applies on one operator safe.  The 1/2^n scale is a power of two,
+        # so it is exact on the B gathered entries as on all 2^n.
+        buf, scratch = self.workspace() if work is None else work
+        buf.fill(0.0)
         buf[self.strings] = v
-        fwht_in_place(buf)
+        fwht_in_place(buf, scratch)
         buf *= self.f.signs
-        fwht_in_place(buf)
-        buf /= float(1 << n)
-        return buf[self.strings]
+        fwht_in_place(buf, scratch)
+        out = buf[self.strings]
+        out /= float(1 << self.f.n)
+        return out
+
+    def workspace(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two fresh 2^n buffers for apply's work: one caller's applies may share them."""
+        return np.empty(1 << self.f.n), np.empty(1 << self.f.n)
 
 
 @dataclass(frozen=True)
 class NormEstimate:
     value: float
-    method: str  # "dense_eigen" | "lanczos"
+    method: str  # "dense_eigen" | "lanczos", the operator's mode even when exact_norm decides
     residual: float
     iterations: int
     converged: bool
@@ -156,6 +166,27 @@ def _dense_is_cheaper(n: int, b: int) -> bool:
     return _C_DENSE * b ** 3 <= lanczos
 
 
+def exact_norm(op: TruncatedFourierOperator) -> float | None:
+    """||F_T|| when a fact of the spectrum fixes it exactly, else None.
+
+    0.0 when 2T lies below the spectrum's lowest_weight: every entry
+    fhat(s XOR t) is then zero, exactly, because the Walsh transform of a +-1
+    table is.  1.0 when B > min(N+, N-), where N+- = 2^(n-1) (1 +- fhat(0))
+    count the x with f(x) = +-1: F = H diag(f) H is a reflection with
+    eigenvalue +1 on a space of dimension N+ and -1 on one of dimension N-,
+    so the B-dimensional range of the truncation meets the +1 space when
+    B > N- (and the -1 space when B > N+), and F_T, a compression of F, has
+    norm at most 1.  fhat(0) = sum(f) / 2^n is exact, and so is N+.
+    """
+    spectrum = fourier(op.f)
+    if 2 * op.t < spectrum.lowest_weight:
+        return 0.0
+    n_plus = int(spectrum.coeffs[0] * (1 << op.f.n) + (1 << op.f.n)) // 2
+    if op.size > min(n_plus, (1 << op.f.n) - n_plus):
+        return 1.0
+    return None
+
+
 def spectral_norm(
     op: TruncatedFourierOperator,
     tol: float = 1e-8,
@@ -166,19 +197,21 @@ def spectral_norm(
 ) -> NormEstimate:
     """Largest |eigenvalue| of the (symmetric) operator.
 
-    An operator whose entries fhat(s XOR t) are all zero, that is one with
-    2T below the spectrum's lowest_weight, returns 0.0 at once in either
-    mode, with the method name of that mode and 0 iterations.  The test is
-    exact, because the Walsh transform of a +-1 table is.  Otherwise
-    dense mode uses a full symmetric eigendecomposition, and matrix-free mode
-    runs Lanczos on the operator itself in two passes that keep no Krylov
-    basis, so memory stays O(B).  The first pass runs the three-term
-    recurrence from a seeded start vector, keeps only the tridiagonal
-    coefficients, and stops once the Ritz value theta of largest |theta| has
-    residual estimate |beta_k s_k| <= tol / 2.  The second pass replays the
-    recurrence to form the unit Ritz vector y and applies the operator once
-    more: the reported residual is ||F_T y - theta y||, so some eigenvalue
-    lies within it of theta, and converged means residual <= tol.  |theta|
+    When exact_norm knows the norm (0.0 or 1.0), it is returned at once in
+    either mode, with the method name of that mode, 0 iterations and
+    residual 0.  Otherwise dense mode uses a full symmetric
+    eigendecomposition, and matrix-free mode runs Lanczos on the operator
+    itself in two passes that keep no Krylov basis, so memory stays O(B).
+    The first pass runs the three-term recurrence from a seeded start
+    vector, keeps only the tridiagonal coefficients, and stops once the Ritz
+    value theta of largest |theta| has residual estimate |beta_k s_k| <=
+    tol / 2.  Every 10th step it checks the two extreme Ritz pairs of the
+    tridiagonal T_k in O(k) by LAPACK dstevx; only when they meet tol / 2
+    (or at max_iter) does a dense eigh of T_k decide, and theta and s come
+    from that eigh alone.  The second pass replays the recurrence to form
+    the unit Ritz vector y and applies the operator once more: the reported
+    residual is ||F_T y - theta y||, so some eigenvalue lies within it of
+    theta, and converged means residual <= tol.  |theta|
     can only undershoot the norm.  `iterations` counts first-pass steps.
 
     A caller that only asks whether value + tol < threshold passes that
@@ -196,9 +229,10 @@ def spectral_norm(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if 2 * op.t < fourier(op.f).lowest_weight:
+    exact = exact_norm(op)
+    if exact is not None:
         method = "lanczos" if op.dense_matrix is None else "dense_eigen"
-        return NormEstimate(value=0.0, method=method, residual=0.0, iterations=0, converged=True)
+        return NormEstimate(value=exact, method=method, residual=0.0, iterations=0, converged=True)
     if op.dense_matrix is not None:
         eigs = np.linalg.eigvalsh(op.dense_matrix)
         value = float(np.max(np.abs(eigs)))
@@ -215,6 +249,8 @@ def spectral_norm(
         # beta bounds the estimate, so a (near-)invariant subspace always
         # stops here before the recurrence divides by beta.
         if k % _CHECK_EVERY == 0 or k == max_iter or beta <= _MARGIN * tol:
+            if k < max_iter and not _may_have_converged(alphas, betas, _MARGIN * tol):
+                continue
             theta, s = _extreme_ritz_pair(alphas, betas)
             estimate = abs(beta * s[-1])
             if estimate <= _MARGIN * tol or k == max_iter:
@@ -239,13 +275,15 @@ def _lanczos(op: TruncatedFourierOperator, start: np.ndarray):
     """Yield (q_j, alpha_j, beta_j) of the Lanczos recurrence, holding three vectors.
 
     Both passes of spectral_norm run this same code from the same start, so
-    the replay reproduces the first pass's basis vectors.
+    the replay reproduces the first pass's basis vectors.  A pass reuses one
+    apply workspace for all its steps.
     """
+    work = op.workspace()
     q_prev = np.zeros_like(start)
     q = start
     beta = 0.0
     while True:
-        w = op.apply(q)
+        w = op.apply(q, work)
         alpha = float(q @ w)
         w -= alpha * q
         w -= beta * q_prev
@@ -254,8 +292,26 @@ def _lanczos(op: TruncatedFourierOperator, start: np.ndarray):
         q_prev, q = q, w / beta
 
 
+def _may_have_converged(alphas: list[float], betas: list[float], bound: float) -> bool:
+    """False only when LAPACK dstevx shows the Ritz pair of largest |theta| missing bound.
+
+    That is its residual estimate |beta_k s_k| > bound, computed from the
+    lowest and the highest eigenpair of T_k, O(k) each.  Without dstevx, or
+    when it fails, the answer is True and the caller's dense eigh decides.
+    """
+    stevx = _lapack_stevx()
+    if stevx is None:
+        return True
+    k = len(alphas)
+    low, high = stevx(alphas, betas, 1), stevx(alphas, betas, k)
+    if low is None or high is None:
+        return True
+    _, last = high if abs(high[0]) > abs(low[0]) else low
+    return abs(betas[-1] * last) <= bound
+
+
 def _extreme_ritz_pair(alphas: list[float], betas: list[float]) -> tuple[float, np.ndarray]:
-    """Eigenpair of largest |theta| of the k x k tridiagonal matrix T_k."""
+    """Eigenpair of largest |theta| of the k x k tridiagonal matrix T_k, by dense eigh."""
     k = len(alphas)
     tri = np.diag(alphas)
     np.fill_diagonal(tri[1:], betas[:k - 1])
@@ -268,8 +324,9 @@ def _extreme_ritz_pair(alphas: list[float], betas: list[float]) -> tuple[float, 
 def prove_norm_below(op: TruncatedFourierOperator, tau: float) -> bool:
     """True only if ||F_T|| < tau holds in exact arithmetic; False means no proof.
 
-    Two proofs are tried.  An operator that is exactly zero (2T below the
-    spectrum's lowest_weight) has norm 0.  Otherwise, for B <= DENSE_LIMIT, a
+    Two proofs are tried.  An operator whose exact_norm is 0 has norm 0;
+    one whose exact_norm is 1 returns False at once for tau <= 1, and for
+    tau > 1 goes on to the factorization.  Otherwise, for B <= DENSE_LIMIT, a
     floating-point Cholesky factorization of (tau I - F_T) - cI and one of
     (tau I + F_T) - cI that both run to completion prove tau I -+ F_T > 0, so
     every eigenvalue of F_T lies strictly inside (-tau, tau).  This is Rump,
@@ -290,8 +347,11 @@ def prove_norm_below(op: TruncatedFourierOperator, tau: float) -> bool:
     """
     if tau <= 0.0:
         return False
-    if 2 * op.t < fourier(op.f).lowest_weight:
+    exact = exact_norm(op)
+    if exact == 0.0:
         return True
+    if exact == 1.0 and tau <= 1.0:
+        return False
     b = op.size
     if b > DENSE_LIMIT:
         return False
@@ -332,6 +392,48 @@ def _cholesky_completes(a: np.ndarray) -> bool:
     elif not potrf(a):
         return False
     return bool(np.all(a.diagonal() > 0.0))
+
+
+@functools.cache
+def _lapack_stevx():
+    """One eigenpair of a symmetric tridiagonal matrix by dstevx, or None when numpy's LAPACK has none.
+
+    The returned stevx(alphas, betas, i) takes the diagonal alphas, the
+    off-diagonal betas[:k - 1] and a 1-based index i in ascending order, and
+    gives (theta_i, last component of its unit eigenvector), or None when
+    dstevx reports failure.  RANGE = 'I' with IL = IU = i finds the value by
+    bisection and the vector by inverse iteration, O(k) each.
+    """
+    import ctypes  # only a Lanczos check needs it
+
+    found = numpy_symbols(("scipy_dstevx_64_",), ("dstevx_64_",), ("scipy_dstevx_",), ("dstevx_",))
+    if found is None:
+        return None
+    fn = found[0]
+    wide = fn.__name__.endswith("64_")
+    int_type, int_dtype = (ctypes.c_int64, np.int64) if wide else (ctypes.c_int, np.intc)
+    # Every pointer as c_void_p, then the hidden lengths of the two character arguments.
+    fn.argtypes = [ctypes.c_char_p, ctypes.c_char_p] + [ctypes.c_void_p] * 16 + [ctypes.c_size_t] * 2
+    fn.restype = None
+
+    def stevx(alphas: list[float], betas: list[float], i: int) -> tuple[float, float] | None:
+        k = len(alphas)
+        d = np.array(alphas, dtype=np.float64)  # dstevx may rescale d and e in place
+        e = np.zeros(max(1, k - 1))
+        e[:k - 1] = betas[:k - 1]
+        w, z = np.empty(k), np.empty(k)
+        work, iwork, ifail = np.empty(5 * k), np.empty(5 * k, dtype=int_dtype), np.empty(k, dtype=int_dtype)
+        size, index, found_count, info = int_type(k), int_type(i), int_type(0), int_type(0)
+        bound, abstol = ctypes.c_double(0.0), ctypes.c_double(0.0)
+        ref = ctypes.byref
+        fn(b"V", b"I", ref(size), d.ctypes.data, e.ctypes.data, ref(bound), ref(bound), ref(index),
+           ref(index), ref(abstol), ref(found_count), w.ctypes.data, z.ctypes.data, ref(size),
+           work.ctypes.data, iwork.ctypes.data, ifail.ctypes.data, ref(info), 1, 1)
+        if info.value != 0 or found_count.value != 1:
+            return None
+        return float(w[0]), float(z[-1])
+
+    return stevx
 
 
 @functools.cache

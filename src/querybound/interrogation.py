@@ -54,6 +54,14 @@ def check_sim_bits(n: int) -> None:
         raise ValueError(f"state-vector simulation supports n in 1..{_MAX_SIM_BITS}, got {n}")
 
 
+def _check_args(n: int, t: int, x: int) -> None:
+    check_sim_bits(n)
+    if t < 0 or t > n:
+        raise ValueError(f"need 0 <= t <= n, got t={t}")
+    if x < 0 or x >= (1 << n):
+        raise ValueError(f"target {x} does not fit in {n} bits")
+
+
 def _distance_rows(n: int, t: int, x: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(lo, rows, dh): S[h, l] = rows[dh[h], l] is the oracle output after W, as int64.
 
@@ -62,10 +70,8 @@ def _distance_rows(n: int, t: int, x: int) -> tuple[int, np.ndarray, np.ndarray]
     the distance as |h XOR x_h| + |l XOR x_l|, so row h of S is row
     dh[h] = |h XOR x_h| of the table rows[e, l] = K[e + |l XOR x_l|].
     """
-    check_sim_bits(n)
+    _check_args(n, t, x)
     kernel = ball_transform(n, t)
-    if x < 0 or x >= (1 << n):
-        raise ValueError(f"target {x} does not fit in {n} bits")
     lo = n // 2
     dl = np.bitwise_count(np.arange(1 << lo) ^ (x & ((1 << lo) - 1)))
     dh = np.bitwise_count(np.arange(1 << (n - lo)) ^ (x >> lo))
@@ -79,9 +85,10 @@ def _final_state(n: int, t: int, x: int) -> np.ndarray:
     return rows[dh].ravel() / math.sqrt(binomial_sum(n, t) << n)
 
 
-def _success_probability(n: int, t: int, x: int, lo: int, rows: np.ndarray) -> float:
-    """Squared amplitude of |x>: the one integer S[x_h, x_l] = rows[0, x_l], divided once by sqrt(B 2^n)."""
-    amplitude = rows[0, x & ((1 << lo) - 1)] / math.sqrt(binomial_sum(n, t) << n)
+def _success_probability(n: int, t: int) -> float:
+    """Squared amplitude of |x>: the one integer S[x_h, x_l] = K[0] = B, divided once by sqrt(B 2^n)."""
+    b = binomial_sum(n, t)
+    amplitude = b / math.sqrt(b << n)
     return float(amplitude**2)
 
 
@@ -95,9 +102,8 @@ def _row_masses(rows: np.ndarray, dh: np.ndarray) -> np.ndarray:
 
 def simulate_exact(n: int, t: int, x: int) -> InterrogationOutcome:
     """Run the three steps exactly and report the probability of measuring x."""
-    lo, rows, _ = _distance_rows(n, t, x)
-    prob = _success_probability(n, t, x, lo, rows)
-    return InterrogationOutcome(n=n, t=t, target=x, success_probability=prob)
+    _check_args(n, t, x)
+    return InterrogationOutcome(n=n, t=t, target=x, success_probability=_success_probability(n, t))
 
 
 def simulate_sampled(n: int, t: int, x: int, shots: int, seed: int) -> InterrogationOutcome:
@@ -113,7 +119,7 @@ def simulate_sampled(n: int, t: int, x: int, shots: int, seed: int) -> Interroga
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     lo, rows, dh = _distance_rows(n, t, x)
-    prob = _success_probability(n, t, x, lo, rows)
+    prob = _success_probability(n, t)
     masses = _row_masses(rows, dh)
     row_cdf = np.cumsum(masses)
     before = (row_cdf - masses).astype(float)  # mass of all earlier rows

@@ -40,7 +40,7 @@ def walsh_matrix(b: int) -> np.ndarray:
     return w
 
 
-def fwht_in_place(v: np.ndarray) -> np.ndarray:
+def fwht_in_place(v: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of a length-2^n buffer, in place.
 
     Computes W v where W[s, x] = (-1)^(s.x).  Applying it twice multiplies
@@ -48,6 +48,12 @@ def fwht_in_place(v: np.ndarray) -> np.ndarray:
     near-equal factors; each is one BLAS matmul along its axis, so the cost is
     k passes of O(2^c 2^n) flops.  Exact on integer input whose partial sums
     stay below 2^53, e.g. any +-1 table.  The buffer is overwritten and returned.
+
+    Each pass writes its matmul into the other of v and a second buffer of the
+    same shape and dtype, so no pass allocates a temporary or copies it back;
+    an odd k copies the result into v once at the end.  A caller that
+    transforms many buffers passes that second buffer as scratch (it is
+    overwritten); without it one is allocated per call.
     """
     if not isinstance(v, np.ndarray) or v.ndim != 1:
         raise ValueError("expected a one-dimensional numpy array")
@@ -58,18 +64,26 @@ def fwht_in_place(v: np.ndarray) -> np.ndarray:
         raise ValueError(f"need a float or complex buffer, got dtype {v.dtype}")
     if not v.flags.c_contiguous:
         raise ValueError("buffer must be C-contiguous")
+    if scratch is None:
+        scratch = np.empty_like(v)
+    elif (scratch.shape != v.shape or scratch.dtype != v.dtype or not scratch.flags.c_contiguous
+          or np.may_share_memory(scratch, v)):
+        raise ValueError("scratch must be a separate C-contiguous buffer of v's shape and dtype")
     n = m.bit_length() - 1
     k = -(-n // _FACTOR_BITS)
+    src, dst = v, scratch
     low = 0
     for i in range(k):
         c = n // k + (i < n % k)
         if low == 0:
-            grid = v.reshape(-1, 1 << c)
-            grid[:] = grid @ walsh_matrix(c)
+            np.matmul(src.reshape(-1, 1 << c), walsh_matrix(c), out=dst.reshape(-1, 1 << c))
         else:
-            grid = v.reshape(-1, 1 << c, 1 << low)
-            grid[:] = walsh_matrix(c) @ grid
+            shape = (-1, 1 << c, 1 << low)
+            np.matmul(walsh_matrix(c), src.reshape(shape), out=dst.reshape(shape))
+        src, dst = dst, src
         low += c
+    if src is not v:
+        v[:] = src
     return v
 
 

@@ -152,7 +152,8 @@ def _count_norm_work(monkeypatch) -> list:
     """Record the operator's FWHT calls; each evidence estimate carries its Lanczos steps."""
     calls = []
     fwht = fourier_operator.fwht_in_place
-    monkeypatch.setattr(fourier_operator, "fwht_in_place", lambda v: calls.append(v.shape) or fwht(v))
+    monkeypatch.setattr(fourier_operator, "fwht_in_place",
+                        lambda v, *scratch: calls.append(v.shape) or fwht(v, *scratch))
     return calls
 
 

@@ -68,6 +68,25 @@ def test_vandam_shots_require_seed(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vandam", "--n", "4", "--t", "2", "--shots", "10"],
+        ["norm", "--family", "parity", "--n", "6", "--t", "2"],
+        ["certify", "--n", "6", "--eps", "0.1", "--trials", "2"],
+        ["moments", "--method", "mc", "--family", "parity", "--n", "4", "--t", "1", "--trials", "2"],
+        ["claim1-sweep", "--ns", "6", "--trials", "1"],
+        ["claim2-verify", "--n", "3", "--evenness", "--m", "4", "--trials", "2"],
+    ],
+    ids=["vandam", "norm", "certify", "moments", "claim1-sweep", "claim2-verify"],
+)
+def test_negative_seed_is_refused(argv, capsys):
+    code = main([*argv, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
+
+
 def test_norm_pinned_identity(tmp_path):
     code, text = run_cli(tmp_path, ["norm", "--family", "constant_plus", "--n", "8", "--t", "3"])
     row = parse_csv(text)[0]

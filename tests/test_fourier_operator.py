@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from querybound import boolfn, fourier_operator
 from querybound.boolfn import (
     FAMILIES,
     BooleanFunction,
@@ -18,13 +19,15 @@ from querybound.boolfn import (
 from querybound.fourier_operator import (
     DENSE_LIMIT,
     NormEstimate,
+    _lapack_stevx,
     build_dense,
     build_matrix_free,
     build_operator,
+    exact_norm,
     prove_norm_below,
     spectral_norm,
 )
-from querybound.transforms import binomial_sum, build_weight_index
+from querybound.transforms import binomial_sum, build_weight_index, fwht_in_place
 
 
 def conjugated_sign_matrix(f):
@@ -89,6 +92,28 @@ def test_apply_matches_dense_matvec(n):
             dv = dense.apply(v)
             fv = free.apply(v)
             assert np.max(np.abs(dv - fv)) <= 1e-9 * max(1.0, np.max(np.abs(dv)))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_apply_is_bit_identical_to_scaling_the_whole_cube(n):
+    # the formula before the shared workspace and the scale after the gather:
+    # scatter, transform, signs, transform, divide all 2^n entries, gather
+    f = sample_uniform(n, 40 + n)
+    rng = np.random.default_rng(n)
+    for t in sorted({0, 1, n // 3, (2 * n) // 5, n // 2, n}):
+        op = build_matrix_free(f, t)
+        v = rng.standard_normal(op.size)
+        buf = np.zeros(1 << n)
+        buf[op.strings] = v
+        fwht_in_place(buf)
+        buf *= f.signs
+        fwht_in_place(buf)
+        buf /= float(1 << n)
+        expect = buf[op.strings]
+        work = op.workspace()
+        assert np.array_equal(op.apply(v), expect), (n, t)
+        assert np.array_equal(op.apply(v, work), expect), (n, t)
+        assert np.array_equal(op.apply(v, work), expect), (n, t)  # reused, dirty buffers
 
 
 def test_apply_rejects_wrong_length():
@@ -271,9 +296,11 @@ def test_lanczos_converged_implies_residual_within_tol(n):
         f = sample_uniform(n, 8000 + 10 * n + trial)
         for t in range(1, n + 1):
             for tol in (1e-6, 1e-8, 1e-12):
-                est = spectral_norm(build_matrix_free(f, t), tol=tol, seed=trial)
+                op = build_matrix_free(f, t)
+                est = spectral_norm(op, tol=tol, seed=trial)
                 assert est.residual <= tol if est.converged else est.residual > tol
-                assert est.iterations >= 1
+                # Lanczos runs unless the norm is exact (B > min(N+, N-) here: 1.0)
+                assert (est.iterations >= 1) == (exact_norm(op) is None)
 
 
 def test_spectral_norm_rejects_bad_max_iter():
@@ -362,3 +389,117 @@ def test_lanczos_value_lies_within_its_residual_of_an_eigenvalue(n, data, seed, 
     assert est.method == "lanczos"
     eigs = np.linalg.eigvalsh(build_dense(f, t).dense_matrix)
     assert np.min(np.abs(np.abs(eigs) - est.value)) <= est.residual + 1e-12
+
+
+def random_tridiagonal(rng, k, tiny=False):
+    alphas = list(rng.standard_normal(k))
+    betas = list(np.abs(rng.standard_normal(k)) * (1e-20 if tiny else 1.0))
+    return alphas, betas
+
+
+def test_stevx_matches_eigh_extreme_pairs():
+    stevx = _lapack_stevx()
+    if stevx is None:
+        pytest.skip("numpy's LAPACK has no dstevx")
+    rng = np.random.default_rng(11)
+    for k in (*range(1, 41), 64, 100, 128, 200, 255, 300):
+        for tiny in (False, True):  # beta ~ 0 splits T_k into 1 x 1 blocks
+            alphas, betas = random_tridiagonal(rng, k, tiny)
+            vals, vecs = np.linalg.eigh(_tridiagonal(alphas, betas))
+            for i, j in ((1, 0), (k, k - 1)):
+                theta, last = stevx(alphas, betas, i)
+                assert abs(theta - vals[j]) <= 1e-13 * max(1.0, abs(vals[j])), (k, i)
+                if not tiny and (k == 1 or min(np.diff(vals)[[0, -1]]) > 1e-6):
+                    assert abs(abs(last) - abs(vecs[-1, j])) <= 1e-9, (k, i)
+
+
+def _tridiagonal(alphas, betas):
+    k = len(alphas)
+    tri = np.diag(alphas)
+    np.fill_diagonal(tri[1:], betas[:k - 1])
+    np.fill_diagonal(tri[:, 1:], betas[:k - 1])
+    return tri
+
+
+@pytest.mark.parametrize("n, t", [(12, 4), (13, 5), (14, 5)])
+def test_norm_without_dstevx_is_unchanged(n, t, monkeypatch):
+    # the O(k) check only skips dense checks that could not stop; eigh decides every stop
+    op = build_matrix_free(sample_uniform(n, 3), t)
+    with_stevx = spectral_norm(op, seed=2)
+    monkeypatch.setattr(fourier_operator, "numpy_symbols", lambda *names: None)
+    fourier_operator._lapack_stevx.cache_clear()
+    try:
+        assert fourier_operator._lapack_stevx() is None
+        assert spectral_norm(op, seed=2) == with_stevx
+    finally:
+        fourier_operator._lapack_stevx.cache_clear()
+
+
+@pytest.mark.parametrize("n, t", [(14, 5), (12, 4)])
+def test_lanczos_estimates_do_not_depend_on_blas_threads(n, t):
+    blas = boolfn._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    get, set_threads = blas
+    saved = get()
+    op = build_matrix_free(sample_uniform(n, 77), t)
+    try:
+        estimates = []
+        for threads in (1, 2):
+            set_threads(threads)
+            estimates.append([spectral_norm(op, seed=seed) for seed in (0, 1)])
+    finally:
+        set_threads(saved)
+    assert estimates[0] == estimates[1]
+    assert all(e.method == "lanczos" and e.iterations > 0 for e in estimates[0])
+
+
+def _balanced(n, seed):
+    signs = np.ones(1 << n)
+    signs[np.random.default_rng(seed).permutation(1 << n)[: 1 << (n - 1)]] = -1.0
+    return BooleanFunction(n, signs)
+
+
+def test_exact_norm_is_one_past_min_n_plus_n_minus():
+    # odd n, T = (n-1)/2: B = 2^(n-1), so any unbalanced f has B > min(N+, N-)
+    for n in (5, 7, 9, 11):
+        t = (n - 1) // 2
+        for seed in range(4):
+            f = sample_uniform(n, seed)
+            n_plus = int(np.sum(f.signs > 0))
+            assert n_plus != 1 << (n - 1)
+            dense = build_dense(f, t)
+            assert exact_norm(dense) == 1.0
+            assert abs(np.max(np.abs(np.linalg.eigvalsh(dense.dense_matrix))) - 1.0) <= 1e-12
+            for op in (dense, build_matrix_free(f, t)):
+                method = "lanczos" if op.dense_matrix is None else "dense_eigen"
+                assert spectral_norm(op) == NormEstimate(value=1.0, method=method, residual=0.0,
+                                                         iterations=0, converged=True)
+        # a balanced f has N+ = N- = B: no fact, the solver runs
+        assert exact_norm(build_dense(_balanced(n, n), t)) is None
+        assert spectral_norm(build_matrix_free(_balanced(n, n), t)).iterations > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_functions(), st.data())
+def test_exact_norm_agrees_with_eigvalsh(f, data):
+    t = data.draw(st.integers(0, f.n))
+    op = build_dense(f, t)
+    exact = exact_norm(op)
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(op.dense_matrix))))
+    n_plus = int(np.sum(f.signs > 0))
+    if 2 * t < fourier(f).lowest_weight:
+        assert exact == 0.0 == norm
+    elif op.size > min(n_plus, (1 << f.n) - n_plus):
+        assert exact == 1.0 and abs(norm - 1.0) <= 1e-12
+    else:
+        assert exact is None
+
+
+def test_proof_refuses_a_norm_of_one_without_factoring(monkeypatch):
+    f = sample_uniform(9, 1)  # unbalanced, B = 256 at T = 4
+    monkeypatch.setattr(fourier_operator, "_cholesky_completes",
+                        lambda a: pytest.fail("factored a truncation of norm 1"))
+    for op in (build_dense(f, 4), build_matrix_free(f, 4)):
+        assert exact_norm(op) == 1.0
+        assert not prove_norm_below(op, 0.4) and not prove_norm_below(op, 1.0)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from querybound import interrogation
 from querybound.interrogation import (
     asymptotic_reference_t,
     choose_t,
@@ -59,6 +60,23 @@ def test_final_state_stays_normalized():
     for n, t in ((6, 2), (10, 4), (12, 6)):
         state = _final_state(n, t, 37 % (1 << n))
         assert abs(float(state @ state) - 1.0) < 1e-12
+
+
+def test_simulate_exact_builds_no_table(monkeypatch):
+    # S[x_h, x_l] = K[0] = B, so the success probability needs no kernel and no rows
+    def no_table(*args):
+        raise AssertionError("simulate_exact built a table")
+
+    monkeypatch.setattr(interrogation, "ball_transform", no_table)
+    monkeypatch.setattr(interrogation, "_distance_rows", no_table)
+    for n, t in ((4, 2), (24, 15), (24, 0)):
+        b = binomial_sum(n, t)
+        assert simulate_exact(n, t, (1 << n) - 1).success_probability == float((b / math.sqrt(b << n)) ** 2)
+    # the range checks stay, with the messages the table's builder gave
+    for args, message in (((4, 5, 0), "need 0 <= t <= n"), ((4, 2, 16), "does not fit"),
+                          ((25, 2, 0), "n in 1..24"), ((4, -1, 0), "need 0 <= t <= n")):
+        with pytest.raises(ValueError, match=message):
+            simulate_exact(*args)
 
 
 def test_simulation_rejects_bad_args():

@@ -15,6 +15,7 @@ from querybound.transforms import (
     format_bitstring,
     fwht_in_place,
     parse_bitstring,
+    walsh_matrix,
 )
 
 
@@ -102,6 +103,42 @@ def test_fwht_twice_is_exactly_2_to_the_n_on_sign_tables(n, seed):
 def test_fwht_in_place_returns_same_buffer():
     v = np.ones(8)
     assert fwht_in_place(v) is v
+
+
+def per_pass_temporaries(v):
+    """The transform as each pass used to run it: grid[:] = grid @ W, a temporary per pass."""
+    n = v.shape[0].bit_length() - 1
+    k = -(-n // 6)
+    low = 0
+    for i in range(k):
+        c = n // k + (i < n % k)
+        if low == 0:
+            grid = v.reshape(-1, 1 << c)
+            grid[:] = grid @ walsh_matrix(c)
+        else:
+            grid = v.reshape(-1, 1 << c, 1 << low)
+            grid[:] = walsh_matrix(c) @ grid
+        low += c
+    return v
+
+
+@pytest.mark.parametrize("n", range(0, 17))
+def test_fwht_scratch_is_bit_identical_to_per_pass_temporaries(n):
+    # k = 0..3 passes: an odd k copies the result back from the scratch buffer
+    v = np.random.default_rng(300 + n).standard_normal(1 << n)
+    expect = per_pass_temporaries(v.copy())
+    scratch = np.full_like(v, np.nan)
+    got = v.copy()
+    assert fwht_in_place(got, scratch) is got
+    assert np.array_equal(got, expect)
+    assert np.array_equal(fwht_in_place(v.copy()), expect)
+
+
+def test_fwht_rejects_bad_scratch():
+    v = np.ones(16)
+    for scratch in (np.empty(8), np.empty(16, dtype=np.complex128), np.empty(32)[::2], v, v[:]):
+        with pytest.raises(ValueError, match="scratch"):
+            fwht_in_place(v, scratch)
 
 
 def test_fwht_complex_input():
