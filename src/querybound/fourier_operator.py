@@ -42,9 +42,10 @@ DENSE_LIMIT = 4096
 # The rule is a pure function of (n, B), so a rerun never changes mode.  A
 # certificate's stopping T now runs only the first pass (spectral_norm's
 # threshold), but the model still counts two passes on purpose: the mode of a
-# truncation never depends on the caller.  The fit predates the copy-free
-# apply and the O(k) Ritz check, which make both _C_STEP and _C_POINT
-# smaller; it is not refitted yet.
+# truncation never depends on the caller.  A dense matrix is gathered on first
+# read, so a truncation whose exact_norm is known pays for neither the gather
+# nor eigvalsh.  The fit predates the copy-free apply and the O(k) Ritz check,
+# which make both _C_STEP and _C_POINT smaller; it is not refitted yet.
 _C_DENSE = 1e-10
 _C_STEP = 5e-5
 _C_POINT = 6e-9
@@ -68,23 +69,34 @@ class TruncatedFourierOperator:
     f: BooleanFunction
     t: int
     strings: np.ndarray  # build_weight_index(f.n, t)
-    dense_matrix: np.ndarray | None = None
+    mode: str  # "dense" | "matrix_free", fixed by the builder
 
     @property
-    def mode(self) -> str:
-        return "matrix_free" if self.dense_matrix is None else "dense"
+    def dense_matrix(self) -> np.ndarray | None:
+        """The B x B matrix fhat(s XOR t), gathered on first read and kept; None in matrix-free mode.
+
+        Kept in __dict__: functools.cached_property's lock is shared by every
+        instance on Python 3.11, so pooled trials would gather in turn.  Two
+        first reads at once may both gather; either copy is the same matrix.
+        """
+        if self.mode != "dense":
+            return None
+        if "_dense" not in self.__dict__:
+            dense = np.empty((self.size, self.size))
+            _gather_xor(fourier(self.f).coeffs, self.strings, dense)
+            dense.flags.writeable = False
+            self.__dict__["_dense"] = dense
+        return self.__dict__["_dense"]
 
     @property
     def size(self) -> int:
         return self.strings.size
 
     def apply(self, v: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-        """F_T v.  A matrix-free apply may reuse work, two float64 buffers of 2^n (see workspace)."""
+        """F_T v, in either mode.  It may reuse work, two float64 buffers of 2^n (see workspace)."""
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.size,):
             raise ValueError(f"vector must have length {self.size}, got shape {v.shape}")
-        if self.dense_matrix is not None:
-            return self.dense_matrix @ v
         # Scatter to the full cube, conjugate by the transform, gather back.
         # Scratch of the caller's own, or fresh per call, keeps concurrent
         # applies on one operator safe.  The 1/2^n scale is a power of two,
@@ -114,15 +126,11 @@ class NormEstimate:
 
 
 def build_dense(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
-    """Materialize the B x B matrix fhat(s XOR t) over weight-<= t strings."""
+    """A dense operator: its B x B matrix fhat(s XOR t) over weight-<= t strings is gathered on first read."""
     b = binomial_sum(f.n, t)
     if b > DENSE_LIMIT:
         raise ValueError(f"B={b} exceeds the dense budget {DENSE_LIMIT}")
-    strings = build_weight_index(f.n, t)
-    dense = np.empty((b, b))
-    _gather_xor(fourier(f).coeffs, strings, dense)
-    dense.flags.writeable = False
-    return TruncatedFourierOperator(f=f, t=t, strings=strings, dense_matrix=dense)
+    return TruncatedFourierOperator(f=f, t=t, strings=build_weight_index(f.n, t), mode="dense")
 
 
 def _gather_xor(coeffs: np.ndarray, strings: np.ndarray, out: np.ndarray) -> None:
@@ -138,7 +146,7 @@ def _gather_xor(coeffs: np.ndarray, strings: np.ndarray, out: np.ndarray) -> Non
 
 
 def build_matrix_free(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
-    return TruncatedFourierOperator(f=f, t=t, strings=build_weight_index(f.n, t))
+    return TruncatedFourierOperator(f=f, t=t, strings=build_weight_index(f.n, t), mode="matrix_free")
 
 
 def build_operator(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
@@ -149,7 +157,8 @@ def build_operator(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
     For n <= 8 every T is dense; n = 16 is dense up to T = 3 (B = 697) and
     matrix-free from T = 4 (B = 2517).  The model counts two Lanczos passes
     even where a certificate's stopping T runs one, so the mode depends on
-    (n, B) alone and never on the caller.
+    (n, B) alone and never on the caller.  A dense matrix is gathered on first
+    read, so a truncation whose exact_norm is known never gathers it.
     """
     n, b = f.n, binomial_sum(f.n, t)
     if b <= DENSE_LIMIT and _dense_is_cheaper(n, b):
@@ -231,9 +240,9 @@ def spectral_norm(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     exact = exact_norm(op)
     if exact is not None:
-        method = "lanczos" if op.dense_matrix is None else "dense_eigen"
+        method = "dense_eigen" if op.mode == "dense" else "lanczos"
         return NormEstimate(value=exact, method=method, residual=0.0, iterations=0, converged=True)
-    if op.dense_matrix is not None:
+    if op.mode == "dense":
         eigs = np.linalg.eigvalsh(op.dense_matrix)
         value = float(np.max(np.abs(eigs)))
         return NormEstimate(value=value, method="dense_eigen", residual=0.0, iterations=0, converged=True)
@@ -342,7 +351,7 @@ def prove_norm_below(op: TruncatedFourierOperator, tau: float) -> bool:
     The off-diagonal entries -+fhat(s XOR t) are exact in float64, and the
     diagonal, the same for every row, is rounded down, so the factored matrix
     is at most the exact (tau I -+ F_T) - cI.  tau itself is taken as exact.
-    A dense operator's matrix is reused; a matrix-free one is gathered again.
+    A dense operator's matrix is gathered once and reused; a matrix-free one is gathered here.
     Memory is one B x B buffer, factored in place by numpy's LAPACK.
     """
     if tau <= 0.0:
@@ -366,7 +375,7 @@ def prove_norm_below(op: TruncatedFourierOperator, tau: float) -> bool:
         diag = float(target)
         if Fraction(diag) > target:
             diag = math.nextafter(diag, -math.inf)
-        if op.dense_matrix is not None:
+        if op.mode == "dense":
             np.multiply(op.dense_matrix, -sign, out=buf)
         else:
             _gather_xor(coeffs, op.strings, buf)

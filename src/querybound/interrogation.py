@@ -36,7 +36,7 @@ class InterrogationOutcome:
     n: int
     t: int
     target: int  # the hidden input x, as an integer
-    success_probability: float  # exact squared amplitude of |x> in the final state
+    success_probability: float  # B / 2^n, the squared amplitude of |x>, correctly rounded
     shots: int = 0
     sampled_counts: dict[int, int] | None = field(default=None)
 
@@ -78,20 +78,6 @@ def _distance_rows(n: int, t: int, x: int) -> tuple[int, np.ndarray, np.ndarray]
     return lo, kernel[np.arange(n - lo + 1)[:, None] + dl], dh
 
 
-def _final_state(n: int, t: int, x: int) -> np.ndarray:
-    """The whole normalized final state, 2^n doubles: a reference for tests."""
-    _, rows, dh = _distance_rows(n, t, x)
-    # One division of exact integers gives the uniform amplitude and the unitary Hadamard.
-    return rows[dh].ravel() / math.sqrt(binomial_sum(n, t) << n)
-
-
-def _success_probability(n: int, t: int) -> float:
-    """Squared amplitude of |x>: the one integer S[x_h, x_l] = K[0] = B, divided once by sqrt(B 2^n)."""
-    b = binomial_sum(n, t)
-    amplitude = b / math.sqrt(b << n)
-    return float(amplitude**2)
-
-
 def _row_masses(rows: np.ndarray, dh: np.ndarray) -> np.ndarray:
     """R_h = sum_l S[h, l]^2 = sum_l rows[dh[h], l]^2.
 
@@ -101,9 +87,10 @@ def _row_masses(rows: np.ndarray, dh: np.ndarray) -> np.ndarray:
 
 
 def simulate_exact(n: int, t: int, x: int) -> InterrogationOutcome:
-    """Run the three steps exactly and report the probability of measuring x."""
+    """The probability of measuring x: its amplitude is K[0] / sqrt(B 2^n) = sqrt(B / 2^n), so B / 2^n."""
     _check_args(n, t, x)
-    return InterrogationOutcome(n=n, t=t, target=x, success_probability=_success_probability(n, t))
+    prob = success_probability_closed_form(n, t)
+    return InterrogationOutcome(n=n, t=t, target=x, success_probability=prob)
 
 
 def simulate_sampled(n: int, t: int, x: int, shots: int, seed: int) -> InterrogationOutcome:
@@ -119,7 +106,6 @@ def simulate_sampled(n: int, t: int, x: int, shots: int, seed: int) -> Interroga
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     lo, rows, dh = _distance_rows(n, t, x)
-    prob = _success_probability(n, t)
     masses = _row_masses(rows, dh)
     row_cdf = np.cumsum(masses)
     before = (row_cdf - masses).astype(float)  # mass of all earlier rows
@@ -150,14 +136,14 @@ def simulate_sampled(n: int, t: int, x: int, shots: int, seed: int) -> Interroga
         n=n,
         t=t,
         target=x,
-        success_probability=prob,
+        success_probability=success_probability_closed_form(n, t),
         shots=shots,
         sampled_counts=dict(sorted(sampled.items())),
     )
 
 
 def success_probability_closed_form(n: int, t: int) -> float:
-    """B / 2^n, independent of the hidden input."""
+    """B / 2^n, independent of the hidden input, correctly rounded from exact integers."""
     return binomial_sum(n, t) / (1 << n)
 
 

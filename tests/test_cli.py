@@ -39,6 +39,14 @@ def test_vandam_exact_pinned(tmp_path):
     assert rows[0]["x"] == "0101"
 
 
+@pytest.mark.parametrize("n, t, printed", [("1", "0", "0.5"), ("2", "1", "0.75")])
+def test_vandam_prints_b_over_2_to_the_n_exactly(tmp_path, n, t, printed):
+    # B / 2^n is a dyadic rational: the row prints it exactly, not a squared rounded amplitude
+    code, text = run_cli(tmp_path, ["vandam", "--n", n, "--t", t])
+    assert code == 0
+    assert parse_csv(text)[0]["success_probability"] == printed
+
+
 def test_vandam_eps_selects_t(tmp_path):
     code, text = run_cli(tmp_path, ["vandam", "--n", "8", "--eps", "0.1"])
     rows = parse_csv(text)

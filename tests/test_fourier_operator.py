@@ -16,6 +16,8 @@ from querybound.boolfn import (
     make_family,
     sample_uniform,
 )
+from querybound.certify import certify_lower_bound
+from querybound.cli import main
 from querybound.fourier_operator import (
     DENSE_LIMIT,
     NormEstimate,
@@ -89,7 +91,7 @@ def test_apply_matches_dense_matvec(n):
             dense = build_dense(f, t)
             free = build_matrix_free(f, t)
             v = rng.standard_normal(dense.size)
-            dv = dense.apply(v)
+            dv = dense.dense_matrix @ v
             fv = free.apply(v)
             assert np.max(np.abs(dv - fv)) <= 1e-9 * max(1.0, np.max(np.abs(dv)))
 
@@ -472,7 +474,7 @@ def test_exact_norm_is_one_past_min_n_plus_n_minus():
             assert exact_norm(dense) == 1.0
             assert abs(np.max(np.abs(np.linalg.eigvalsh(dense.dense_matrix))) - 1.0) <= 1e-12
             for op in (dense, build_matrix_free(f, t)):
-                method = "lanczos" if op.dense_matrix is None else "dense_eigen"
+                method = "dense_eigen" if op.mode == "dense" else "lanczos"
                 assert spectral_norm(op) == NormEstimate(value=1.0, method=method, residual=0.0,
                                                          iterations=0, converged=True)
         # a balanced f has N+ = N- = B: no fact, the solver runs
@@ -503,3 +505,45 @@ def test_proof_refuses_a_norm_of_one_without_factoring(monkeypatch):
     for op in (build_dense(f, 4), build_matrix_free(f, 4)):
         assert exact_norm(op) == 1.0
         assert not prove_norm_below(op, 0.4) and not prove_norm_below(op, 1.0)
+
+
+def _no_gather(*args):
+    raise AssertionError("gathered a dense matrix that nothing reads")
+
+
+def test_exact_norm_gathers_no_matrix(monkeypatch, capsys):
+    monkeypatch.setattr(fourier_operator, "_gather_xor", _no_gather)
+    # parity at n = 13, T = 6: B = 4096, dense by (n, B), and 2T lies below weight 13
+    assert main(["norm", "--family", "parity", "--n", "13", "--t", "6"]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row == "1,norm,13,6,4096,parity,dense,dense_eigen,0,0,0,true,1e-08,10000,0"
+    # an unbalanced f at B = 2^(n-1): exact_norm is 1, so neither the solve nor the proof gathers
+    op = build_operator(sample_uniform(13, 0), 6)
+    assert op.mode == "dense"
+    assert spectral_norm(op).value == 1.0
+    assert not prove_norm_below(op, 0.49)
+
+
+def test_dense_operator_gathers_once_for_solve_and_proof(monkeypatch):
+    calls = []
+    gather = fourier_operator._gather_xor
+
+    def counted(coeffs, strings, out):
+        calls.append(strings.size)
+        gather(coeffs, strings, out)
+
+    monkeypatch.setattr(fourier_operator, "_gather_xor", counted)
+    op = build_dense(sample_uniform(8, 5), 3)  # B = 93, no exact fact
+    assert exact_norm(op) is None and calls == []
+    norm = spectral_norm(op).value
+    assert prove_norm_below(op, norm + 0.01)
+    assert op.dense_matrix is op.dense_matrix
+    assert calls == [op.size]
+    assert build_matrix_free(sample_uniform(8, 5), 3).dense_matrix is None
+
+
+def test_certifying_parity_gathers_nothing(monkeypatch):
+    monkeypatch.setattr(fourier_operator, "_gather_xor", _no_gather)
+    bound = certify_lower_bound(make_family("parity", 16), 0.1)
+    assert bound.lower_bound_t == 8 and bound.status == "certified"
+    assert build_operator(make_family("parity", 16), 3).mode == "dense"  # B = 697

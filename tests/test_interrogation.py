@@ -12,10 +12,16 @@ from querybound.interrogation import (
     simulate_sampled,
     success_probability_closed_form,
     _distance_rows,
-    _final_state,
     _row_masses,
 )
 from querybound.transforms import binomial_sum, build_weight_index, fwht_in_place
+
+
+def _final_state(n, t, x):
+    """The whole normalized final state, 2^n doubles, from the half-cube table."""
+    _, rows, dh = _distance_rows(n, t, x)
+    # One division of exact integers gives the uniform amplitude and the unitary Hadamard.
+    return rows[dh].ravel() / math.sqrt(binomial_sum(n, t) << n)
 
 
 def test_pinned_probabilities():
@@ -46,14 +52,14 @@ def test_matches_closed_form_and_ignores_target(n):
         assert max(probs) - min(probs) <= 1e-10
 
 
-@pytest.mark.parametrize("n", range(1, 23))
+@pytest.mark.parametrize("n", range(1, 25))
 def test_success_probability_within_two_ulp_of_closed_form(n):
-    # amplitudes are exact integers divided once by sqrt(B 2^n)
-    for t in sorted({0, 1, n // 2, (3 * n) // 4, n}):
-        expect = success_probability_closed_form(n, t)
+    # not merely within 2 ulp: B / 2^n correctly rounded, for every T and both simulations
+    for t in range(n + 1):
+        expect = binomial_sum(n, t) / (1 << n)
         for x in {0, (1 << n) - 1, 0x2AAAAA % (1 << n)}:
-            got = simulate_exact(n, t, x).success_probability
-            assert abs(got - expect) <= 2 * math.ulp(expect), (t, x)
+            assert simulate_exact(n, t, x).success_probability == expect, (t, x)
+        assert simulate_sampled(n, t, 0, 1, seed=t).success_probability == expect, t
 
 
 def test_final_state_stays_normalized():
@@ -71,7 +77,7 @@ def test_simulate_exact_builds_no_table(monkeypatch):
     monkeypatch.setattr(interrogation, "_distance_rows", no_table)
     for n, t in ((4, 2), (24, 15), (24, 0)):
         b = binomial_sum(n, t)
-        assert simulate_exact(n, t, (1 << n) - 1).success_probability == float((b / math.sqrt(b << n)) ** 2)
+        assert simulate_exact(n, t, (1 << n) - 1).success_probability == b / (1 << n)
     # the range checks stay, with the messages the table's builder gave
     for args, message in (((4, 5, 0), "need 0 <= t <= n"), ((4, 2, 16), "does not fit"),
                           ((25, 2, 0), "n in 1..24"), ((4, -1, 0), "need 0 <= t <= n")):
@@ -167,6 +173,18 @@ def test_final_state_equals_index_scatter(n):
     for t in range(n + 1) if n <= 12 else (0, n // 2 + 1, n):
         for x in {0, 1, (1 << n) - 1, 0x5A5 % (1 << n)}:
             assert _final_state(n, t, x).tobytes() == _index_scatter_state(n, t, x).tobytes()
+
+
+@pytest.mark.parametrize("n, t, x, shots, seed, recovered, distinct", [
+    (6, 3, 0b110100, 400, 3, 270, 30),
+    (12, 7, 0xABC, 5000, 11, 4066, 268),
+    (20, 11, 0x5A5A5, 1000, 1, 752, 128),
+    (24, 15, 0xC0FFEE, 2000, 9, 1872, 100),
+])
+def test_sampled_counts_pinned(n, t, x, shots, seed, recovered, distinct):
+    # the draws read only the integer masses, never the reported probability
+    counts = simulate_sampled(n, t, x, shots, seed).sampled_counts
+    assert (counts.get(x, 0), len(counts), sum(counts.values())) == (recovered, distinct, shots)
 
 
 def test_sampled_all_mass_on_target_lands_on_target():

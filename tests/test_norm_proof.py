@@ -73,10 +73,11 @@ def test_proof_and_build_hold_one_matrix_at_a_time(mode):
     f, t = sample_uniform(16, 3), 4
     b = binomial_sum(16, t)
     op = OPERATORS[mode](f, t)
+    op.dense_matrix  # a dense operator's matrix is gathered on first read, before tracing
     matrix_bytes = 8 * b * b
     tracemalloc.start()
     try:
-        build_dense(f, t)
+        build_dense(f, t).dense_matrix
         _, build_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         assert prove_norm_below(op, 0.49)
