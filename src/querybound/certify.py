@@ -77,12 +77,13 @@ def certify_lower_bound(
     nondecreasing in T (nested principal submatrices), so nothing beyond
     the stopping point can be refuted.
     Each truncation's operator comes from build_operator, which picks dense
-    or matrix-free by cost, so the norms are estimates either way.  status
-    is "certified" when every refuted T also has a proof that its norm lies
-    below 1/2 - eps (prove_norm_below: an exactly zero operator, or for
-    B <= DENSE_LIMIT two verified Cholesky factorizations), else
-    "empirical".  A refutation past DENSE_LIMIT with a nonzero operator
-    stays empirical: a Ritz value can only undershoot the true norm.
+    or matrix-free by its B^3 vs 2^n crossover, so the norms are estimates
+    either way.  status is "certified" when every refuted T also has a
+    proof that its norm lies below 1/2 - eps (prove_norm_below: an exactly
+    zero operator, or for B <= DENSE_LIMIT two verified Cholesky
+    factorizations), else "empirical".  A refutation past DENSE_LIMIT with
+    a nonzero operator stays empirical: a Ritz value can only undershoot
+    the true norm.
     Each norm is computed with spectral_norm's threshold = 1/2 - eps; see
     spectral_norm for what that does to the stopping T's residual.
     """

@@ -23,34 +23,18 @@ from .transforms import binomial_sum, build_weight_index, fwht_in_place
 # are never materialized, neither for eigvalsh nor for a Cholesky proof.
 DENSE_LIMIT = 4096
 
-# Cost model behind build_operator, in seconds, fitted offline to single-thread
-# runs (OPENBLAS_NUM_THREADS=1) of sample_uniform(n, 42) for n = 8..20, and of
-# sample_uniform(n, 7) for n = 8..14, on a 2-vCPU Xeon VM with numpy 2.4.6 and
-# OpenBLAS 0.3.31:
-#   dense   = _C_DENSE * B^3                           (build_dense + eigvalsh)
-#   Lanczos = 2k (_C_STEP + _C_POINT * 2^n ceil(n/6))  (two passes of k steps)
-# with k = _K_BASE + _K_HALF * 2^n / |2^n - 2B| first-pass steps.  k was 2-280
-# elsewhere and grows as B nears 2^(n-1).  At B = 2^(n-1) (odd n, T = (n-1)/2)
-# the first pass took 200-1690 steps, and n = 11, T = 5 took 5-7.5 s against
-# 0.13 s dense, so that point is dense whenever it fits DENSE_LIMIT.
-# Measured dense vs Lanczos:
-#   n = 12: B =  299 0.006 vs 0.010 s (dense) | B =  794 0.053 vs 0.026 s (Lanczos)
-#   n = 14: B =  470 0.015 vs 0.036 s (dense) | B = 1471 0.35 vs 0.06 s;
-#                                               B = 3473 4.1 vs 0.09 s (Lanczos)
-#   n = 16: B =  697 0.032 vs 0.141 s (dense) | B = 2517 1.58 vs 0.23 s (Lanczos)
-#   n = 18: B =  988 0.116 vs 1.13 s (dense)  | B = 4048 6.37 vs 1.45 s (Lanczos)
-# The rule is a pure function of (n, B), so a rerun never changes mode.  A
-# certificate's stopping T now runs only the first pass (spectral_norm's
-# threshold), but the model still counts two passes on purpose: the mode of a
-# truncation never depends on the caller.  A dense matrix is gathered on first
-# read, so a truncation whose exact_norm is known pays for neither the gather
-# nor eigvalsh.  The fit predates the copy-free apply and the O(k) Ritz check,
-# which make both _C_STEP and _C_POINT smaller; it is not refitted yet.
-_C_DENSE = 1e-10
-_C_STEP = 5e-5
-_C_POINT = 6e-9
-_K_BASE = 40
-_K_HALF = 45
+# build_operator's crossover: dense iff B <= DENSE_LIMIT and either B^3 <=
+# _CROSSOVER 2^n (eigvalsh's B^3 against the 2^n of one Lanczos step) or
+# B = 2^(n-1).  That half point (odd n, T = (n-1)/2) is dense because Lanczos
+# crawls there: for a balanced f it took 200-1690 steps, and n = 11, T = 5 took
+# 5-7.5 s against 0.13 s dense.  Past it exact_norm answers.  Below it, up to
+# n = 26, dense means n <= 11, or T <= 3, or the half point.  Build plus eigvalsh
+# vs Lanczos in ms, sample_uniform(n, 42), median of 5, 2-vCPU VM:
+#   (12, 3) B =  299:  5.0 vs  7.7 dense | (12, 4) B =  794:   52 vs  26 matrix-free
+#   (16, 3) B =  697:   38 vs  186 dense | (16, 4) B = 2517: 1303 vs 232 matrix-free
+#   (20, 3) B = 1351:  175 vs 2046 dense | (11, 4) B =  562:   22 vs  10 dense
+# (11, 4) is a near tie: over 8 functions Lanczos took 13-26 ms, dense 23-26.
+_CROSSOVER = 10**5
 
 # Lanczos stops once the residual estimate of its Ritz pair is below
 # _MARGIN * tol: the explicit residual matches the estimate to a relative
@@ -150,29 +134,22 @@ def build_matrix_free(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
 
 
 def build_operator(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
-    """Dense or matrix-free, whichever the fitted cost model says is faster.
+    """Dense or matrix-free by one crossover in (n, B); see _CROSSOVER.
 
-    Dense only when B = binomial_sum(n, t) fits DENSE_LIMIT and c B^3 for
-    eigvalsh is at most the modelled cost of two-pass Lanczos (see _C_DENSE).
-    For n <= 8 every T is dense; n = 16 is dense up to T = 3 (B = 697) and
-    matrix-free from T = 4 (B = 2517).  The model counts two Lanczos passes
-    even where a certificate's stopping T runs one, so the mode depends on
-    (n, B) alone and never on the caller.  A dense matrix is gathered on first
-    read, so a truncation whose exact_norm is known never gathers it.
+    Dense when B = binomial_sum(n, t) fits DENSE_LIMIT and B^3 <= 10^5 2^n,
+    or B = 2^(n-1).  Every T is dense for n <= 8; from n = 12 on, T <= 3 is
+    dense (n = 16: B = 697) and T = 4 is not (B = 2517).  The mode depends on
+    (n, B) alone, never on the caller or the machine.  A dense matrix is
+    gathered on first read, so a truncation whose exact_norm is known never
+    gathers it.
     """
-    n, b = f.n, binomial_sum(f.n, t)
-    if b <= DENSE_LIMIT and _dense_is_cheaper(n, b):
+    if _dense_is_cheaper(f.n, binomial_sum(f.n, t)):
         return build_dense(f, t)
     return build_matrix_free(f, t)
 
 
 def _dense_is_cheaper(n: int, b: int) -> bool:
-    distance = abs((1 << n) - 2 * b)
-    if distance == 0:
-        return True
-    steps = _K_BASE + _K_HALF * (1 << n) / distance
-    lanczos = 2 * steps * (_C_STEP + _C_POINT * (1 << n) * -(-n // 6))
-    return _C_DENSE * b ** 3 <= lanczos
+    return b <= DENSE_LIMIT and (2 * b == 1 << n or b**3 <= _CROSSOVER << n)
 
 
 def exact_norm(op: TruncatedFourierOperator) -> float | None:

@@ -237,7 +237,7 @@ def claim2_bruteforce(n: int, t: int, spec: PartitionSpec) -> Claim2Result:
     budget = b**m * (1 << (n * r))
     if budget > _CLAIM2_BUDGET:
         raise ValueError(f"enumeration needs {budget} > {_CLAIM2_BUDGET} elementary terms")
-    kernel = ball_transform(n, t)[np.bitwise_count(np.arange(1 << n))]
+    kernel = ball_transform(n, t)
     part_of = {i: j for j, part in enumerate(spec.parts) for i in part}
     edges = [(part_of[i], part_of[(i - 2) % m + 1]) for i in range(1, m + 1)]
 
@@ -252,7 +252,7 @@ def claim2_bruteforce(n: int, t: int, spec: PartitionSpec) -> Claim2Result:
             for i in range(j):
                 terms *= xs[j] != xs[i]
         for j, i in edges:
-            terms *= kernel[xs[j] ^ xs[i]]
+            terms *= kernel[np.bitwise_count(xs[j] ^ xs[i])]
         total += int(terms.sum())
     total <<= n
     bound = b ** (m - r + 1) * (1 << (n * r))

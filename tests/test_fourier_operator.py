@@ -547,3 +547,27 @@ def test_certifying_parity_gathers_nothing(monkeypatch):
     bound = certify_lower_bound(make_family("parity", 16), 0.1)
     assert bound.lower_bound_t == 8 and bound.status == "certified"
     assert build_operator(make_family("parity", 16), 3).mode == "dense"  # B = 697
+
+
+def test_mode_table_where_a_solver_runs():
+    # the crossover's whole table for B <= DENSE_LIMIT and B <= 2^(n-1); past that, exact_norm answers
+    for n in range(1, 27):
+        for t in range(n + 1):
+            b = binomial_sum(n, t)
+            if b <= DENSE_LIMIT and 2 * b <= 1 << n:
+                dense = n <= 11 or t <= 3 or 2 * b == 1 << n
+                assert fourier_operator._dense_is_cheaper(n, b) == dense, (n, t, b)
+    assert all(fourier_operator._dense_is_cheaper(n, binomial_sum(n, t)) for n in range(1, 9)
+               for t in range(n + 1))
+
+
+def test_no_solver_runs_past_half_the_cube(monkeypatch):
+    # min(N+, N-) <= 2^(n-1) for every f, so B > 2^(n-1) has norm exactly 1 in either mode
+    monkeypatch.setattr(fourier_operator, "_gather_xor", _no_gather)
+    for n in range(2, 13):
+        for f in [sample_uniform(n, seed) for seed in range(3)] + [_balanced(n, n)]:
+            for t in range(n + 1):
+                if 2 * binomial_sum(n, t) > 1 << n:
+                    op = build_operator(f, t)
+                    assert exact_norm(op) == 1.0, (n, t)
+                    assert spectral_norm(op).iterations == 0, (n, t)

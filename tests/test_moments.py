@@ -198,6 +198,18 @@ def test_claim2_budget_guard():
         claim2_bruteforce(8, 8, PartitionSpec.single(4))
 
 
+def test_claim2_reads_the_kernel_by_weight():
+    # one point tuple at n = 26: no table over the 2^26 strings
+    tracemalloc.start()
+    try:
+        res = claim2_bruteforce(26, 0, PartitionSpec.single(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.total == 2**26
+    assert peak < 1 << 20
+
+
 def test_claim2_refusal_allocates_nothing():
     tracemalloc.start()
     try:
