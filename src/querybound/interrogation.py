@@ -9,9 +9,10 @@ The final state is never formed.  Its unnormalized amplitude at z is the
 integer K(|z XOR x|), where K = ball_transform(n, t) is the Walsh transform of
 the weight-<= T Hamming ball.  With z split into two half cubes, every row of
 amplitudes is one row of a table of ceil(n/2) + 1 rows, indexed by the high
-half's distance to x.  Shots come from an exact-integer inverse CDF over
-row masses R_h = sum_l S[h, l]^2, gathering only the rows that draws land
-in.  Memory is O(n 2^(n/2)) plus one block of 2^20 doubles.
+half's distance to x.  Shots come from an exact-integer inverse CDF: over
+row masses R_h = sum_l S[h, l]^2 for the row, then over the cumulative
+masses within the row's table row, computed once per simulation.  Memory is
+O(n 2^(n/2)) plus the draws of one generator call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .transforms import ball_transform, binomial_sum
 # Simulations hold one half-cube table of ceil(n/2) + 1 rows, so this cap
 # bounds no memory; lifting it would change which inputs the CLI accepts.
 _MAX_SIM_BITS = 24
-# Draws per generator call, and doubles per block of touched rows.
+# Draws per generator call.
 _BLOCK = 1 << 20
 
 
@@ -51,7 +52,7 @@ class InterrogationOutcome:
 def check_sim_bits(n: int) -> None:
     """Refuse n outside 1.._MAX_SIM_BITS before any table is built."""
     if not 1 <= n <= _MAX_SIM_BITS:
-        raise ValueError(f"state-vector simulation supports n in 1..{_MAX_SIM_BITS}, got {n}")
+        raise ValueError(f"vandam simulates n in 1..{_MAX_SIM_BITS}, got {n}")
 
 
 def _check_args(n: int, t: int, x: int) -> None:
@@ -78,12 +79,12 @@ def _distance_rows(n: int, t: int, x: int) -> tuple[int, np.ndarray, np.ndarray]
     return lo, kernel[np.arange(n - lo + 1)[:, None] + dl], dh
 
 
-def _row_masses(rows: np.ndarray, dh: np.ndarray) -> np.ndarray:
-    """R_h = sum_l S[h, l]^2 = sum_l rows[dh[h], l]^2.
+def _within_row_cdf(rows: np.ndarray) -> np.ndarray:
+    """C[e, l] = sum_{l' <= l} rows[e, l']^2, so row h of S has mass R_h = C[dh[h], -1].
 
     Computed in int64, so exact in any order: sum_h R_h = B 2^n <= 2^48.
     """
-    return np.square(rows).sum(axis=1)[dh]
+    return np.cumsum(np.square(rows), axis=1)
 
 
 def simulate_exact(n: int, t: int, x: int) -> InterrogationOutcome:
@@ -99,38 +100,32 @@ def simulate_sampled(n: int, t: int, x: int, shots: int, seed: int) -> Interroga
     Each shot draws r in [0, 1) and takes the first string whose cumulative
     mass S^2 exceeds U = floor(r B 2^n), an integer below B 2^n because r < 1.
     That string is found in two steps: the first row h whose cumulative row
-    mass exceeds U, then the first column l whose mass within the row exceeds
-    what is left.  No string of zero mass is ever taken.  Every mass and
+    mass exceeds U, then the first column l whose cumulative mass within the
+    row, read from the table row dh[h] of within-row sums, exceeds what is
+    left of U.  No string of zero mass is ever taken.  Every mass and
     cumulative sum is an integer at most B 2^n <= 2^48, exact in a double.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     lo, rows, dh = _distance_rows(n, t, x)
-    masses = _row_masses(rows, dh)
+    within = _within_row_cdf(rows)
+    masses = within[dh, -1]
     row_cdf = np.cumsum(masses)
     before = (row_cdf - masses).astype(float)  # mass of all earlier rows
     row_cdf = row_cdf.astype(float)
-    squares = np.square(rows).astype(float)
-    rows_per_block = _BLOCK >> lo
+    within = within.astype(float)
     rng = np.random.Generator(np.random.PCG64(seed))
     sampled: Counter[int] = Counter()
     for done in range(0, shots, _BLOCK):
         u = np.floor(rng.random(min(shots - done, _BLOCK)) * row_cdf[-1])
-        u.sort()  # only the counts are kept, so the draws may be reordered
-        touched, starts = np.unique(np.searchsorted(row_cdf, u, side="right"), return_index=True)
-        starts = np.append(starts, u.size)
-        hits = []
-        for i in range(0, touched.size, rows_per_block):
-            block = touched[i:i + rows_per_block]
-            # Exact integer masses of the touched rows, and running sums that
-            # start from the mass of every earlier row: the block flattens to
-            # a slice of the flat CDF with the gaps removed.
-            cdf = squares[dh[block]]
-            cdf[:, 0] += before[block]
-            np.cumsum(cdf, axis=1, out=cdf)
-            at = np.searchsorted(cdf.ravel(), u[starts[i]:starts[i + block.size]], side="right")
-            hits.append((block[at >> lo] << lo) | (at & ((1 << lo) - 1)))
-        hit, counts = np.unique(np.concatenate(hits), return_counts=True)
+        z = np.searchsorted(row_cdf, u, side="right")  # the row h, then h << lo | l
+        u -= before[z]  # what is left within the row
+        e = dh[z]
+        z <<= lo
+        for d in np.unique(e):
+            at = e == d
+            z[at] |= np.searchsorted(within[d], u[at], side="right")
+        hit, counts = np.unique(z, return_counts=True)
         sampled.update(dict(zip(hit.tolist(), counts.tolist())))
     return InterrogationOutcome(
         n=n,

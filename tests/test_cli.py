@@ -387,7 +387,7 @@ def test_claim2_evenness_names_the_n_limit(n, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["vandam", "--n", "-3", "--eps", "0.1"], "state-vector simulation supports n in 1..24, got -3"),
+        (["vandam", "--n", "-3", "--eps", "0.1"], "vandam simulates n in 1..24, got -3"),
         (["moments", "--method", "exhaustive", "--n", "-2", "--t", "0"],
          "exhaustive expectation needs n in 1..4, got -2"),
         (["claim2-verify", "--evenness", "--n", "-1", "--m", "2", "--trials", "1", "--seed", "1"],
@@ -544,8 +544,8 @@ def test_vandam_n20_bytes_independent_of_blas_threads():
 
 
 def test_vandam_n24_bytes_independent_of_blas_threads():
-    # n = 24 gathers only the touched rows of 2^12 exact integer amplitudes
-    # from one half-cube table, and searches exact integer masses
+    # n = 24 searches exact integer masses: row masses, then cumulative
+    # masses within one of the 13 rows of a half-cube table
     outputs = _stdout_one_blas_thread_and_default(
         ["vandam", "--n", "24", "--eps", "0.1", "--x", "110100101100011101001011",
          "--shots", "1000", "--seed", "1"])

@@ -12,7 +12,7 @@ from querybound.interrogation import (
     simulate_sampled,
     success_probability_closed_form,
     _distance_rows,
-    _row_masses,
+    _within_row_cdf,
 )
 from querybound.transforms import binomial_sum, build_weight_index, fwht_in_place
 
@@ -288,7 +288,7 @@ def test_row_masses_are_exact_row_sums_of_squares(n):
         x = 0x35A9 % (1 << n)
         lo, table, dh = _distance_rows(n, t, x)
         rows = np.square(_integer_amplitudes(n, t, x)).reshape(-1, 1 << lo).sum(axis=1)
-        masses = _row_masses(table, dh)
+        masses = _within_row_cdf(table)[dh, -1]
         assert masses.dtype == np.int64 and np.array_equal(masses, rows)
         assert int(masses.sum()) == binomial_sum(n, t) << n
 
@@ -311,6 +311,13 @@ def test_n24_never_allocates_the_state(simulate):
 def test_sampled_n24_boundary_draw_follows_exact_masses():
     # the literal integer oracle above, run once at this size (256 MiB), hits
     # 85647 distinct strings; a float CDF of rounded probabilities sends one
-    # boundary draw elsewhere and hits 85646
-    out = simulate_sampled(24, 12, 12345, shots=1 << 20, seed=9)
+    # boundary draw elsewhere and hits 85646.  One generator call of 2^20
+    # draws and its row and column searches stay under 40 MiB traced.
+    tracemalloc.start()
+    try:
+        out = simulate_sampled(24, 12, 12345, shots=1 << 20, seed=9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert len(out.sampled_counts) == 85647 and out.sampled_counts[12345] == 609169
+    assert peak <= 40 << 20, peak / 2**20
