@@ -23,13 +23,7 @@ from pathlib import Path
 from . import boolfn
 from .certify import certify_lower_bound, certify_random_sweep, run_claim1_sweep
 from .fourier_operator import build_dense, build_matrix_free, build_operator, spectral_norm
-from .interrogation import (
-    asymptotic_reference_t,
-    check_sim_bits,
-    choose_t,
-    simulate_exact,
-    simulate_sampled,
-)
+from .interrogation import asymptotic_reference_t, choose_t, simulate_exact, simulate_sampled
 from .moments import (
     PartitionSpec,
     claim2_bruteforce,
@@ -38,7 +32,7 @@ from .moments import (
     expected_trace_moment_mc,
     trace_moment,
 )
-from .transforms import binomial_sum, format_bitstring, parse_bitstring
+from .transforms import binomial_sum, check_bits, format_bitstring, parse_bitstring
 
 SCHEMA_VERSION = 1
 
@@ -94,7 +88,7 @@ VANDAM_FIELDS = [
 
 def cmd_vandam(args) -> tuple[list[str], list[dict], int]:
     n = args.n
-    check_sim_bits(n)  # before choose_t, which cannot count strings for n < 0
+    check_bits(n)  # 1..MAX_BITS, before choose_t, which cannot count strings for n < 0
     if args.t is None and args.eps is None:
         raise ValueError("provide --t or --eps")
     t = args.t if args.t is not None else choose_t(n, args.eps)

@@ -23,11 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transforms import ball_transform, binomial_sum
+from .transforms import ball_transform, binomial_sum, check_bits
 
-# Simulations hold one half-cube table of ceil(n/2) + 1 rows, so this cap
-# bounds no memory; lifting it would change which inputs the CLI accepts.
-_MAX_SIM_BITS = 24
 # Draws per generator call.
 _BLOCK = 1 << 20
 
@@ -49,14 +46,8 @@ class InterrogationOutcome:
         return self.sampled_counts.get(self.target, 0) / self.shots
 
 
-def check_sim_bits(n: int) -> None:
-    """Refuse n outside 1.._MAX_SIM_BITS before any table is built."""
-    if not 1 <= n <= _MAX_SIM_BITS:
-        raise ValueError(f"vandam simulates n in 1..{_MAX_SIM_BITS}, got {n}")
-
-
 def _check_args(n: int, t: int, x: int) -> None:
-    check_sim_bits(n)
+    check_bits(n)
     if t < 0 or t > n:
         raise ValueError(f"need 0 <= t <= n, got t={t}")
     if x < 0 or x >= (1 << n):
@@ -82,7 +73,7 @@ def _distance_rows(n: int, t: int, x: int) -> tuple[int, np.ndarray, np.ndarray]
 def _within_row_cdf(rows: np.ndarray) -> np.ndarray:
     """C[e, l] = sum_{l' <= l} rows[e, l']^2, so row h of S has mass R_h = C[dh[h], -1].
 
-    Computed in int64, so exact in any order: sum_h R_h = B 2^n <= 2^48.
+    Computed in int64, so exact in any order: sum_h R_h = B 2^n <= 2^52.
     """
     return np.cumsum(np.square(rows), axis=1)
 
@@ -98,12 +89,15 @@ def simulate_sampled(n: int, t: int, x: int, shots: int, seed: int) -> Interroga
     """Exact final distribution plus a finite-shot measurement record.
 
     Each shot draws r in [0, 1) and takes the first string whose cumulative
-    mass S^2 exceeds U = floor(r B 2^n), an integer below B 2^n because r < 1.
+    mass S^2 exceeds U = floor(r X), X = B 2^n.  As r <= 1 - 2^-53, the
+    exact r X lies at least X 2^-53 below X, more than half the gap to the
+    double before X, so it rounds below X; X < 2^53 is an exact integer, so
+    U <= X - 1 and no draw runs past the last row.
     That string is found in two steps: the first row h whose cumulative row
     mass exceeds U, then the first column l whose cumulative mass within the
     row, read from the table row dh[h] of within-row sums, exceeds what is
     left of U.  No string of zero mass is ever taken.  Every mass and
-    cumulative sum is an integer at most B 2^n <= 2^48, exact in a double.
+    cumulative sum is an integer at most B 2^n <= 2^52, exact in a double.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")

@@ -21,7 +21,8 @@ import numpy as np
 # n in 13..24; factors of 5, 7 and 8 bits were each slower somewhere there.
 _FACTOR_BITS = 6
 
-# Largest n for which a whole 2^n table is built: 2^26 doubles are 512 MiB.
+# Largest n of the package, for two reasons: a whole 2^n table of doubles is
+# 512 MiB at n = 26, and vandam's integer CDF, B 2^n <= 2^52, stays below 2^53.
 MAX_BITS = 26
 
 

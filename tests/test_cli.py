@@ -387,7 +387,7 @@ def test_claim2_evenness_names_the_n_limit(n, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["vandam", "--n", "-3", "--eps", "0.1"], "vandam simulates n in 1..24, got -3"),
+        (["vandam", "--n", "-3", "--eps", "0.1"], "n must lie in 1..26, got -3"),
         (["moments", "--method", "exhaustive", "--n", "-2", "--t", "0"],
          "exhaustive expectation needs n in 1..4, got -2"),
         (["claim2-verify", "--evenness", "--n", "-1", "--m", "2", "--trials", "1", "--seed", "1"],
@@ -401,6 +401,16 @@ def test_n_below_one_names_the_valid_range(argv, message, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_vandam_takes_n_up_to_the_bit_cap(capsys):
+    base = ["--eps", "0.1", "--shots", "1000", "--seed", "1", "--format", "json"]
+    assert main(["vandam", "--n", "26", *base]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert (row["n"], row["shots"]) == (26, 1000)
+    assert main(["vandam", "--n", "27", *base]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: n must lie in 1..26, got 27\n"
 
 
 def test_csv_and_json_carry_identical_data(tmp_path):

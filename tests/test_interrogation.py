@@ -80,7 +80,7 @@ def test_simulate_exact_builds_no_table(monkeypatch):
         assert simulate_exact(n, t, (1 << n) - 1).success_probability == b / (1 << n)
     # the range checks stay, with the messages the table's builder gave
     for args, message in (((4, 5, 0), "need 0 <= t <= n"), ((4, 2, 16), "does not fit"),
-                          ((25, 2, 0), "n in 1..24"), ((4, -1, 0), "need 0 <= t <= n")):
+                          ((27, 2, 0), "n must lie in 1..26, got 27"), ((4, -1, 0), "need 0 <= t <= n")):
         with pytest.raises(ValueError, match=message):
             simulate_exact(*args)
 
@@ -91,7 +91,9 @@ def test_simulation_rejects_bad_args():
     with pytest.raises(ValueError):
         simulate_exact(4, 2, 16)
     with pytest.raises(ValueError):
-        simulate_exact(25, 2, 0)
+        simulate_exact(27, 2, 0)
+    with pytest.raises(ValueError, match="n must lie in 1..26, got 27"):
+        simulate_sampled(27, 2, 0, shots=10, seed=1)
 
 
 def test_choose_t_pinned():
@@ -180,6 +182,7 @@ def test_final_state_equals_index_scatter(n):
     (12, 7, 0xABC, 5000, 11, 4066, 268),
     (20, 11, 0x5A5A5, 1000, 1, 752, 128),
     (24, 15, 0xC0FFEE, 2000, 9, 1872, 100),
+    (26, 15, 0x2C0FFEE, 2000, 9, 1717, 168),
 ])
 def test_sampled_counts_pinned(n, t, x, shots, seed, recovered, distinct):
     # the draws read only the integer masses, never the reported probability
@@ -214,6 +217,13 @@ def test_sampled_skips_zero_amplitude_strings(x, zero, first, last, monkeypatch)
     # the extreme draws land on the first and last strings of nonzero probability
     monkeypatch.setattr(np.random, "Generator", _ExtremeDraws)
     assert simulate_sampled(3, 1, x, shots=4, seed=0).sampled_counts == {first: 2, last: 2}
+
+
+def test_extreme_draws_stay_in_range_at_the_bit_cap(monkeypatch):
+    # B 2^n < 2^53 at n = 26, so even r = 1 - 2^-53 gives U below B 2^n: the
+    # draws land on the first and last strings, both of nonzero mass at x = 0
+    monkeypatch.setattr(np.random, "Generator", _ExtremeDraws)
+    assert simulate_sampled(26, 13, 0, shots=4, seed=0).sampled_counts == {0: 2, (1 << 26) - 1: 2}
 
 
 def test_sampled_in_blocks_equals_one_inverse_cdf_pass():
@@ -296,9 +306,11 @@ def test_row_masses_are_exact_row_sums_of_squares(n):
 @pytest.mark.parametrize("simulate", [
     lambda: simulate_sampled(24, 15, 0xA5C3E1, shots=1000, seed=4),
     lambda: simulate_exact(24, 15, 0xA5C3E1),
-], ids=["sampled", "exact"])
+    lambda: simulate_sampled(26, 13, 0xA5C3E1, shots=1000, seed=4),
+    lambda: simulate_exact(26, 13, 0xA5C3E1),
+], ids=["sampled", "exact", "sampled-n26", "exact-n26"])
 def test_n24_never_allocates_the_state(simulate):
-    # the 2^24-double state alone would be 128 MiB
+    # the 2^24-double state alone would be 128 MiB, the 2^26-double one 512 MiB
     tracemalloc.start()
     try:
         simulate()
