@@ -183,8 +183,13 @@ def run_claim1_sweep(
     derive_seeds(seed, len(ns) * trials)[j * trials + i] for its sign table
     and its Lanczos start.  Each n gives a "random" row, followed by a row
     for include_family when one is named, whose norm starts from the root
-    seed.  Rows hold the measurement and the configuration behind it (n, t,
-    t_rule, seed, tol, max_iter), nothing else.
+    seed.  All norms of all n share one pool of `threads`.  Rows hold the
+    measurement and the configuration behind it (n, t, t_rule, seed, tol,
+    max_iter), nothing else.
+    Each norm passes spectral_norm threshold 0.0, so Lanczos runs one pass:
+    no row prints a residual, and value and iterations are those of the
+    default two passes.  `unconverged` counts the norms whose first-pass
+    residual estimate |beta_k s_k| stayed above tol.
     """
     if not 0.0 < t_rule <= 0.5:
         raise ValueError(f"t_rule must lie in (0, 0.5], got {t_rule}")
@@ -193,25 +198,34 @@ def run_claim1_sweep(
     for n in ns:
         check_bits(n)
     all_seeds = derive_seeds(seed, len(ns) * trials)
-    rows = []
+    jobs: list[tuple[int, str | None, int]] = []  # (n, family, seed); None is a random trial
     for i, n in enumerate(ns):
+        jobs += [(n, None, s) for s in all_seeds[i * trials:(i + 1) * trials]]
+        if include_family is not None:
+            jobs.append((n, include_family, seed))
+
+    def norm(job: tuple[int, str | None, int]) -> NormEstimate:
+        n, family, s = job  # each table is built by the thread that norms it
+        f = sample_uniform(n, s) if family is None else make_family(family, n)
+        op = build_matrix_free(f, int(t_rule * n))
+        return spectral_norm(op, tol=tol, max_iter=max_iter, seed=s, threshold=0.0)
+
+    ests = iter(map_trials(norm, jobs, threads))
+    rows = []
+    for n in ns:
         t = int(t_rule * n)
         b = binomial_sum(n, t)
         ref = math.sqrt(n * b / (1 << n))
-        block = all_seeds[i * trials:(i + 1) * trials]
 
-        def norm(f: BooleanFunction, s: int):
-            return spectral_norm(build_matrix_free(f, t), tol=tol, max_iter=max_iter, seed=s)
-
-        def row(kind: str, ests: list) -> dict:
-            norms = np.array([e.value for e in ests])
+        def row(kind: str, group: list[NormEstimate]) -> dict:
+            norms = np.array([e.value for e in group])
             median = float(np.median(norms))
-            return {"kind": kind, "n": n, "t": t, "t_rule": t_rule, "b": b, "trials": len(ests),
+            return {"kind": kind, "n": n, "t": t, "t_rule": t_rule, "b": b, "trials": len(group),
                     "median_norm": median, "max_norm": float(norms.max()), "ref_scale": ref,
-                    "ratio": median / ref, "unconverged": sum(not e.converged for e in ests),
+                    "ratio": median / ref, "unconverged": sum(not e.converged for e in group),
                     "seed": seed, "tol": tol, "max_iter": max_iter}
 
-        rows.append(row("random", map_trials(lambda s: norm(sample_uniform(n, s), s), block, threads)))
+        rows.append(row("random", [next(ests) for _ in range(trials)]))
         if include_family is not None:
-            rows.append(row(include_family, [norm(make_family(include_family, n), seed)]))
+            rows.append(row(include_family, [next(ests)]))
     return rows

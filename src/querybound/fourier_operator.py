@@ -40,11 +40,14 @@ _CROSSOVER = 10**5
 # _MARGIN * tol: the explicit residual matches the estimate to a relative
 # 1e-8 or so, and the margin keeps converged runs inside tol.
 _MARGIN = 0.5
-# Steps between the first pass's checks on its small tridiagonal matrix: a
-# longer interval overshoots by up to this many steps in both passes.  Each
-# check is O(k) (LAPACK dstevx for the two extreme eigenpairs), and only a
-# check that looks converged runs the O(k^3) dense eigh that decides.  10
-# measured fastest of 5, 10 and 15 on n = 12..15 when every check ran eigh.
+# Steps between the first pass's checks on its small tridiagonal matrix.  A
+# run stops at most this many steps, one apply each, past the first step that
+# meets tol (a replay repeats them).  Each check is O(k) (LAPACK dstevx for
+# the two extreme eigenpairs), and only a check that looks converged runs the
+# O(k^3) dense eigh that decides.  10 was measured fastest of 5, 10 and 15 on
+# n = 12..15 while every check still ran eigh, and it is not re-measured: the
+# step a run stops at fixes its theta, so another interval changes printed
+# norms in their last digits.
 _CHECK_EVERY = 10
 
 
@@ -208,8 +211,10 @@ def spectral_norm(
     same as without threshold, and a run that can still fall below it keeps
     the replay and the explicit residual.  certify passes its 1/2 - eps, so
     a certificate's stopping T runs one pass; its CLI rows print only the
-    norms, which do not change.  The norm and claim1-sweep rows pass no
-    threshold and report the explicit residual.
+    norms, which do not change.  claim1-sweep passes 0.0, which every
+    |theta| + tol reaches, so none of its norms replays; its rows print no
+    residual, and `unconverged` counts first-pass estimates above tol.  Only
+    the norm row passes no threshold and reports the explicit residual.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")

@@ -201,3 +201,41 @@ def test_claim1_median_norm_sits_at_the_compression_edge():
     for row in run_claim1_sweep(list(range(10, 15)), 0.4, 9, 11):
         q = row["b"] / (1 << row["n"])
         assert 0.95 <= row["median_norm"] / (2 * math.sqrt(q * (1 - q))) <= 1.15, row
+
+
+def _record_claim1_norms(monkeypatch) -> list:
+    """Record each (operator, seed, estimate) that run_claim1_sweep's norms produce."""
+    norms = []
+    solve = certify.spectral_norm
+
+    def recorded(op, **kwargs):
+        est = solve(op, **kwargs)
+        norms.append((op, kwargs["seed"], est))
+        return est
+
+    monkeypatch.setattr(certify, "spectral_norm", recorded)
+    return norms
+
+
+def test_claim1_sweep_runs_one_lanczos_pass(monkeypatch):
+    # k first-pass steps of one apply (two FWHTs) each over both trials; the
+    # replay would add 2 (k + 1) per trial
+    calls = _count_norm_work(monkeypatch)
+    norms = _record_claim1_norms(monkeypatch)
+    rows = run_claim1_sweep([12], 0.4, 2, 1)
+    k = sum(est.iterations for _, _, est in norms)
+    assert len(norms) == 2 and all(est.method == "lanczos" for _, _, est in norms)
+    assert k > 0 and len(calls) == 2 * k
+    assert rows[0]["unconverged"] == 0
+
+
+def test_claim1_one_pass_matches_two_passes(monkeypatch):
+    # value, iterations and converged of the one-pass norms equal those of
+    # spectral_norm's default two passes, which replay for the explicit residual
+    norms = _record_claim1_norms(monkeypatch)
+    run_claim1_sweep(list(range(6, 13)), 0.4, 5, 3)
+    assert len(norms) == 7 * 5
+    for op, seed, one in norms:
+        two = fourier_operator.spectral_norm(op, seed=seed)
+        assert (one.value, one.iterations, one.converged) == (two.value, two.iterations, two.converged)
+        assert two.residual <= 1e-8

@@ -342,6 +342,20 @@ def test_claim1_sweep_rows(tmp_path):
     assert text == text2
 
 
+@pytest.mark.parametrize("family", [[], ["--include-family", "parity"]], ids=["random", "family"])
+def test_claim1_sweep_threads_span_every_n(tmp_path, family, monkeypatch):
+    # one pool runs the norms of every n, and its rows are the serial bytes
+    pools = []
+    map_trials = certify.map_trials
+    monkeypatch.setattr(certify, "map_trials",
+                        lambda fn, items, threads: pools.append(len(items)) or map_trials(fn, items, threads))
+    argv = ["claim1-sweep", "--ns", "12,13", "--trials", "2", "--seed", "1", *family]
+    _, serial = run_cli(tmp_path, [*argv, "--threads", "1"], "serial.csv")
+    _, pooled = run_cli(tmp_path, [*argv, "--threads", "2"], "pooled.csv")
+    assert pooled.startswith("schema_version") and pooled == serial
+    assert pools == [2 * 2 + (2 if family else 0)] * 2  # trials per n, plus one family norm per n
+
+
 def test_run_claim1_sweep_validates_rule():
     with pytest.raises(ValueError):
         run_claim1_sweep([6], t_rule=0.7, trials=2, seed=1)

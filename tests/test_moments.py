@@ -23,7 +23,7 @@ from querybound.moments import (
     expected_trace_moment_mc,
     trace_moment,
 )
-from querybound.transforms import binomial_sum, build_weight_index, walsh_matrix
+from querybound.transforms import ball_transform, binomial_sum, build_weight_index, walsh_matrix
 
 
 def test_trace_full_truncation_is_dimension():
@@ -87,6 +87,34 @@ def test_exhaustive_k2_against_direct_average():
     direct = total / (1 << (1 << n))
     rep = expected_trace_moment_exhaustive(n, t, k)
     assert rep.value == pytest.approx(direct, rel=1e-12)
+
+
+def _trace4_expectation(n: int, t: int) -> Fraction:
+    """E Tr(F_T^4) over uniform f, exactly, from Python ints.
+
+    E f(x1) f(x2) f(x3) f(x4) is 1 when the points pair up and 0 otherwise.
+    In units of 2^(-3n): the two pairings of neighbouring factors give
+    2^n B^3 each, the crossing one gives sum_d C(n, d) K_d^4 (2^n times the
+    4-tuples of the ball with XOR 0), and four equal points, counted by all
+    three pairings, take 2 B^4 off.
+    """
+    b = binomial_sum(n, t)
+    kernel = [int(v) for v in ball_transform(n, t)]
+    crossing = sum(math.comb(n, d) * kernel[d] ** 4 for d in range(n + 1))
+    return Fraction((1 << (n + 1)) * b**3 - 2 * b**4 + crossing, 1 << (3 * n))
+
+
+def test_trace4_closed_form_equals_exhaustive():
+    cases = [(n, t) for n in range(1, 5) for t in range(n + 1)]
+    assert len(cases) == 14
+    for n, t in cases:
+        assert float(_trace4_expectation(n, t)) == expected_trace_moment_exhaustive(n, t, 2).value
+
+
+@pytest.mark.parametrize("n, t, trials", [(8, 3, 200), (10, 4, 200), (12, 4, 100)])
+def test_mc_k2_matches_closed_form_past_exhaustive(n, t, trials):
+    rep = expected_trace_moment_mc(n, t, 2, trials=trials, seed=1)
+    assert abs(rep.value - float(_trace4_expectation(n, t))) <= 4 * rep.stderr
 
 
 def test_exhaustive_rejects_large_n():
