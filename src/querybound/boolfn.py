@@ -6,7 +6,9 @@ transforms.py.  Fourier coefficients follow fhat(s) = 2^(-n) sum_x (-1)^(s.x) f(
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,9 +70,18 @@ class FourierSpectrum:
         return int(np.bitwise_count(np.flatnonzero(self.coeffs)).min(initial=self.n + 1))
 
 
+def check_family(name: str, n: int) -> None:
+    """Refuse a family that make_family cannot build at n, before any 2^n table."""
+    check_bits(n)
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}, expected one of {FAMILIES}")
+    if name == "majority" and n % 2 == 0:
+        raise ValueError("majority needs odd n (no tie rule is defined)")
+
+
 def make_family(name: str, n: int) -> BooleanFunction:
     """Named test families: constant_plus, parity, or_fn, majority (odd n only)."""
-    check_bits(n)
+    check_family(name, n)
     x = np.arange(1 << n, dtype=np.int64)
     if name == "constant_plus":
         signs = np.ones(1 << n)
@@ -79,12 +90,8 @@ def make_family(name: str, n: int) -> BooleanFunction:
     elif name == "or_fn":
         # +1 only on the all-zero input
         signs = np.where(x == 0, 1.0, -1.0)
-    elif name == "majority":
-        if n % 2 == 0:
-            raise ValueError("majority needs odd n (no tie rule is defined)")
-        signs = np.sign(n - 2.0 * np.bitwise_count(x))
     else:
-        raise ValueError(f"unknown family {name!r}, expected one of {FAMILIES}")
+        signs = np.sign(n - 2.0 * np.bitwise_count(x))
     return BooleanFunction(n, signs)
 
 
@@ -109,31 +116,88 @@ def derive_seeds(seed: int, count: int) -> list[int]:
 def map_trials(fn, items, threads: int) -> list:
     """[fn(x) for x in items], spread over a pool of min(threads, len(items)) threads.
 
-    Results keep the order of items.  With threads > 1, numpy's OpenBLAS
-    runs on one thread while the pool runs, whatever the number of items, so
-    pool and BLAS threads do not oversubscribe the cores and every trial's
-    BLAS digits are those of a serial run under OPENBLAS_NUM_THREADS=1,
-    whatever the thread variables say; a trial's output thus does not change
-    when more items join it.  The previous count is restored afterwards,
-    also when fn raises.  threads == 1 never touches BLAS, and neither does
-    a numpy built on another BLAS.  The count is process-wide, so pools must
-    not be started from two threads at once.
+    Results keep the order of items.  With threads > 1 the pool runs inside
+    one_blas_thread, whatever the number of items, so pool and BLAS threads
+    do not oversubscribe the cores and every trial's BLAS digits are those
+    of a serial run under OPENBLAS_NUM_THREADS=1, whatever the thread
+    variables say; a trial's output thus does not change when more items
+    join it.  threads == 1 never touches BLAS.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if threads == 1 or not items:
         return [fn(x) for x in items]
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
+class _BlasHolders:
+    """Who holds one_blas_thread, and the count its last holder restores."""
+
+    def __init__(self):
+        self.lock = threading.Lock()  # guards the fields and every change of the count
+        self.count = 0
+        self.saved = 1
+        self.first = None  # the thread whose entry set the count to 1
+
+
+_HOLDERS = _BlasHolders()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore the count.
+
+    Holders share one count: the first saves the caller's count and sets 1,
+    the last restores it, also when the body raises.  So pools and norms
+    entered from several threads at once leave the count as they found it.
+    The count is process-wide: a thread that holds no guard runs at 1 too.
+    A numpy built on another BLAS is left alone.
+    """
     blas = _openblas_threads()
-    if blas is not None:
-        get_threads, set_threads = blas
-        saved = get_threads()
-        set_threads(1)
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    with _HOLDERS.lock:
+        if _HOLDERS.count == 0:
+            _HOLDERS.saved, _HOLDERS.first = get_threads(), threading.get_ident()
+            set_threads(1)
+        _HOLDERS.count += 1
     try:
-        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-            return list(pool.map(fn, items))
+        yield
     finally:
-        if blas is not None:
-            set_threads(saved)
+        with _HOLDERS.lock:
+            _HOLDERS.count -= 1
+            if _HOLDERS.count == 0:
+                set_threads(_HOLDERS.saved)
+
+
+@contextlib.contextmanager
+def callers_blas_threads():
+    """Run the body at the count one_blas_thread saved, when this thread is its one holder.
+
+    Then no pool and no other norm relies on the count being 1.  The guard's
+    lock is held for the body, so no holder enters before it ends: keep the
+    body to BLAS calls whose digits do not depend on the count.  Otherwise,
+    held by others or by no one, the body runs at the count as it is.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    _HOLDERS.lock.acquire()
+    if _HOLDERS.count != 1 or _HOLDERS.first != threading.get_ident():
+        _HOLDERS.lock.release()
+        yield
+        return
+    set_threads = blas[1]
+    try:
+        set_threads(_HOLDERS.saved)
+        yield
+    finally:
+        set_threads(1)
+        _HOLDERS.lock.release()
 
 
 def numpy_symbols(*candidates: tuple[str, ...]) -> list | None:

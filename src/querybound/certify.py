@@ -20,6 +20,7 @@ import numpy as np
 from .boolfn import (
     BooleanFunction,
     canonical_sign,
+    check_family,
     derive_seeds,
     make_family,
     map_trials,
@@ -195,8 +196,10 @@ def run_claim1_sweep(
         raise ValueError(f"t_rule must lie in (0, 0.5], got {t_rule}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    for n in ns:
+    for n in ns:  # every n and the family's parity, before any norm runs
         check_bits(n)
+        if include_family is not None:
+            check_family(include_family, n)
     all_seeds = derive_seeds(seed, len(ns) * trials)
     jobs: list[tuple[int, str | None, int]] = []  # (n, family, seed); None is a random trial
     for i, n in enumerate(ns):

@@ -3,10 +3,11 @@
 Every row echoes the effective configuration and a schema_version, floats
 are serialized with 17 significant digits, and a fixed (config, seed,
 threads=1) always produces byte-identical output, except that digits from
-the dense eigensolver can change with the number of BLAS threads.  With
---threads > 1 each trial's BLAS runs on one thread, so pooled output does
-not depend on the thread variables and equals the serial run under
-OPENBLAS_NUM_THREADS=1.
+the dense eigensolver can change with the number of BLAS threads.  A
+matrix-free (Lanczos) norm runs its BLAS on one thread in any run, so its
+digits never do.  With --threads > 1 each trial's BLAS runs on one thread,
+so pooled output does not depend on the thread variables and equals the
+serial run under OPENBLAS_NUM_THREADS=1.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ densely or applied matrix-free through two Walsh-Hadamard transforms.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import BooleanFunction, fourier, numpy_symbols
+from .boolfn import BooleanFunction, callers_blas_threads, fourier, numpy_symbols, one_blas_thread
 from .transforms import binomial_sum, build_weight_index, fwht_in_place
 
 # Hard memory cap: B x B doubles at 4096 is 128 MiB, so larger truncations
@@ -49,6 +50,18 @@ _MARGIN = 0.5
 # step a run stops at fixes its theta, so another interval changes printed
 # norms in their last digits.
 _CHECK_EVERY = 10
+
+# A matrix-free norm runs in one_blas_thread: OpenBLAS splits a dot product
+# of more than 10000 entries over threads, which changes its digits, and on
+# small cubes a second thread only spins.  Past a cube of _THREADED_FWHT_CUBE
+# doubles, the two transforms of each apply run at the caller's count (see
+# callers_blas_threads), whose products OpenBLAS splits by output blocks, so
+# their bits do not change.  A whole norm at one BLAS thread vs the default 2,
+# wall (CPU) time, sample_uniform(n, 11), seed 1, 6 runs, 2-vCPU VM, numpy 2.4.6:
+#   (15, 6) 2^15: 180-199 (180-199) vs 190-210 (380-420) ms
+#   (16, 4) 2^16:  96-109  (96-109) vs  93-102 (184-206) ms
+#   (17, 4) 2^17: 303-328 ms vs 259-286 ms | (18, 4) 2^18: 1.03-1.26 s vs 0.77-1.08 s
+_THREADED_FWHT_CUBE = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,9 +104,11 @@ class TruncatedFourierOperator:
         buf, scratch = self.workspace() if work is None else work
         buf.fill(0.0)
         buf[self.strings] = v
-        fwht_in_place(buf, scratch)
-        buf *= self.f.signs
-        fwht_in_place(buf, scratch)
+        big = buf.size > _THREADED_FWHT_CUBE
+        with callers_blas_threads() if big else contextlib.nullcontext():
+            fwht_in_place(buf, scratch)
+            buf *= self.f.signs
+            fwht_in_place(buf, scratch)
         out = buf[self.strings]
         out /= float(1 << self.f.n)
         return out
@@ -215,20 +230,34 @@ def spectral_norm(
     |theta| + tol reaches, so none of its norms replays; its rows print no
     residual, and `unconverged` counts first-pass estimates above tol.  Only
     the norm row passes no threshold and reports the explicit residual.
+
+    A matrix-free norm runs all its BLAS and LAPACK calls, exact_norm's
+    transform included, inside one_blas_thread, so its digits do not depend
+    on the BLAS thread count at any B.  Past a cube of _THREADED_FWHT_CUBE
+    doubles each apply's two transforms, whose bits no count changes, run at
+    the caller's count unless a pool or another norm holds the guard.  Dense
+    mode keeps the caller's count: eigvalsh runs 1.8x faster on two threads
+    at B = 4096, and its last digits may change with the count.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if op.mode == "dense":
+        value = exact_norm(op)
+        if value is None:
+            value = float(np.max(np.abs(np.linalg.eigvalsh(op.dense_matrix))))
+        return NormEstimate(value=value, method="dense_eigen", residual=0.0, iterations=0, converged=True)
+    with one_blas_thread():
+        return _lanczos_norm(op, tol, max_iter, seed, threshold)
+
+
+def _lanczos_norm(op: TruncatedFourierOperator, tol: float, max_iter: int, seed: int,
+                  threshold: float | None) -> NormEstimate:
+    """spectral_norm of a matrix-free operator, by exact_norm or the two Lanczos passes."""
     exact = exact_norm(op)
     if exact is not None:
-        method = "dense_eigen" if op.mode == "dense" else "lanczos"
-        return NormEstimate(value=exact, method=method, residual=0.0, iterations=0, converged=True)
-    if op.mode == "dense":
-        eigs = np.linalg.eigvalsh(op.dense_matrix)
-        value = float(np.max(np.abs(eigs)))
-        return NormEstimate(value=value, method="dense_eigen", residual=0.0, iterations=0, converged=True)
-
+        return NormEstimate(value=exact, method="lanczos", residual=0.0, iterations=0, converged=True)
     rng = np.random.Generator(np.random.PCG64(seed))
     start = rng.standard_normal(op.size)
     start /= math.sqrt(float(start @ start))

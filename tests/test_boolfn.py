@@ -1,18 +1,25 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from querybound import boolfn
+from querybound import boolfn, fourier_operator
 from querybound.boolfn import (
     BooleanFunction,
+    callers_blas_threads,
     canonical_sign,
     derive_seeds,
     fourier,
     make_family,
     map_trials,
+    one_blas_thread,
     read_truth_table,
     sample_uniform,
     write_truth_table,
 )
+from querybound.fourier_operator import build_matrix_free, build_operator, spectral_norm
 from querybound.transforms import fwht_in_place
 
 
@@ -189,3 +196,146 @@ def test_numpy_symbols_takes_the_first_group_that_resolves():
 def test_map_trials_one_thread_never_touches_blas(monkeypatch):
     monkeypatch.setattr(boolfn, "_openblas_threads", lambda: pytest.fail("BLAS touched"))
     assert map_trials(lambda x: 2 * x, [3, 4, 5], 1) == [6, 8, 10]
+
+
+def test_one_blas_thread_nests_and_restores_when_the_body_raises(blas_threads_at_two):
+    get = blas_threads_at_two
+    with pytest.raises(RuntimeError, match="body failed"):
+        with one_blas_thread():
+            with one_blas_thread():
+                assert get() == 1
+            assert get() == 1  # the inner holder leaves the outer one's count
+            raise RuntimeError("body failed")
+    assert get() == 2
+
+
+def _all_at_once(jobs):
+    """Run each job on its own thread and return their results in order."""
+    with ThreadPoolExecutor(len(jobs)) as pool:
+        futures = [pool.submit(job) for job in jobs]
+        return [future.result(timeout=120) for future in futures]
+
+
+def test_two_pools_at_once_leave_the_saved_count(blas_threads_at_two):
+    # all four trials of two pools wait for each other, so both pools hold the
+    # guard at once; the pool that leaves first must not restore the count
+    get = blas_threads_at_two
+    meet = threading.Barrier(4, timeout=60)
+
+    def trial(_):
+        meet.wait()
+        return get()
+
+    pool = lambda: map_trials(trial, [0, 1], 2)  # noqa: E731
+    assert _all_at_once([pool, pool]) == [[1, 1], [1, 1]]
+    assert get() == 2
+
+
+def test_two_norms_at_once_leave_the_saved_count(blas_threads_at_two, monkeypatch):
+    get = blas_threads_at_two
+    ops = [build_matrix_free(sample_uniform(12, seed), 4) for seed in (1, 2)]
+    expected = [spectral_norm(op) for op in ops]
+    meet = threading.Barrier(2, timeout=60)
+    counts = []
+    exact_norm = fourier_operator.exact_norm
+
+    def exact_norm_after_meeting(op):
+        meet.wait()  # both norms are inside the guard here
+        counts.append(get())
+        return exact_norm(op)
+
+    monkeypatch.setattr(fourier_operator, "exact_norm", exact_norm_after_meeting)
+    assert _all_at_once([lambda op=op: spectral_norm(op) for op in ops]) == expected
+    assert counts == [1, 1]
+    assert get() == 2
+
+
+def test_blas_guard_survives_many_holders(blas_threads_at_two):
+    # more threads than cores, switching often: a lost update of the holder
+    # count would restore 2 while a holder runs, or leave the count at 1
+    get = blas_threads_at_two
+    held, lifted = [], []
+
+    def hold():
+        for _ in range(200):
+            with one_blas_thread():
+                held.append(get())
+                with callers_blas_threads():
+                    lifted.append(get())  # 2 only when this thread was the one holder
+                held.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _all_at_once([hold] * 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(held) == 2 * 8 * 200 and set(held) == {1}
+    assert len(lifted) == 8 * 200 and set(lifted) <= {1, 2}
+    assert get() == 2
+
+
+def _record_transform_counts(monkeypatch, get, fail_at=None):
+    """Patch both transform call sites; return the BLAS counts they ran at, by site."""
+    counts = {"spectrum": [], "apply": []}
+
+    def recorder(site):
+        def fwht(buf, scratch=None):
+            counts[site].append(get())
+            if sum(map(len, counts.values())) == fail_at:
+                raise RuntimeError("transform failed")
+            return fwht_in_place(buf, scratch)
+        return fwht
+
+    monkeypatch.setattr(boolfn, "fwht_in_place", recorder("spectrum"))
+    monkeypatch.setattr(fourier_operator, "fwht_in_place", recorder("apply"))
+    return counts
+
+
+@pytest.mark.parametrize("fail_at", [None, 4], ids=["returns", "raises"])
+def test_small_cube_norm_runs_on_one_blas_thread(blas_threads_at_two, monkeypatch, fail_at):
+    get = blas_threads_at_two
+    counts = _record_transform_counts(monkeypatch, get, fail_at)
+    op = build_matrix_free(sample_uniform(12, 5), 4)
+    if fail_at is None:
+        assert spectral_norm(op).iterations > 0
+    else:
+        with pytest.raises(RuntimeError, match="transform failed"):
+            spectral_norm(op)
+    assert counts["spectrum"] == [1] and counts["apply"] and set(counts["apply"]) == {1}
+    assert get() == 2
+
+
+def test_big_cube_applies_transform_at_the_callers_count(blas_threads_at_two, monkeypatch):
+    # n = 17: each apply's transforms run at the caller's count, the spectrum's
+    # transform and the Lanczos checks on one thread; in a pool all run on one
+    get = blas_threads_at_two
+    counts = _record_transform_counts(monkeypatch, get)
+    checks = []
+    may_have_converged = fourier_operator._may_have_converged
+    monkeypatch.setattr(fourier_operator, "_may_have_converged",
+                        lambda *args: checks.append(get()) or may_have_converged(*args))
+
+    def norm(_):
+        return spectral_norm(build_matrix_free(sample_uniform(17, 1), 4), threshold=0.0)
+
+    serial = norm(0)
+    assert counts["spectrum"] == [1] and set(counts["apply"]) == {2} and set(checks) == {1}
+    for site in counts.values():
+        site.clear()
+    checks.clear()
+    assert map_trials(norm, [0, 1], 2) == [serial, serial]
+    assert counts["spectrum"] == [1, 1] and set(counts["apply"]) == {1} and set(checks) == {1}
+    counts["apply"].clear()
+    op = build_matrix_free(sample_uniform(17, 1), 4)  # a trial that holds no guard itself
+    map_trials(lambda _: op.apply(np.ones(op.size)), [0], 2)
+    assert counts["apply"] == [1, 1]
+    assert get() == 2
+
+
+def test_dense_norm_never_touches_blas_threads(monkeypatch):
+    monkeypatch.setattr(boolfn, "_openblas_threads", lambda: pytest.fail("BLAS count touched"))
+    # eigvalsh at B = 176, and an exact zero for parity
+    for f, t in ((sample_uniform(10, 1), 3), (make_family("parity", 8), 2)):
+        op = build_operator(f, t)
+        assert op.mode == "dense" and spectral_norm(op).method == "dense_eigen"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from querybound.boolfn import derive_seeds, make_family, sample_uniform, write_truth_table
-from querybound import certify, cli
+from querybound import boolfn, certify, cli, fourier_operator
 from querybound.cli import main, run_claim1_sweep
 from querybound.fourier_operator import build_dense
 
@@ -271,6 +271,19 @@ def test_function_flags_a_mode_ignores_are_refused(argv, hint, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and hint in captured.err
+
+
+def test_claim1_sweep_refuses_a_family_before_any_norm(monkeypatch, capsys):
+    def no_transform(*args):
+        pytest.fail("a transform ran before the family was refused")
+
+    monkeypatch.setattr(boolfn, "fwht_in_place", no_transform)
+    monkeypatch.setattr(fourier_operator, "fwht_in_place", no_transform)
+    code = main(["claim1-sweep", "--ns", "15,16", "--trials", "2", "--seed", "1",
+                 "--include-family", "majority"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: majority needs odd n (no tie rule is defined)\n"
 
 
 def test_single_function_certify_refuses_include_family(capsys):
@@ -556,6 +569,21 @@ def test_claim1_sweep_bytes_independent_of_blas_threads():
     outputs = _stdout_one_blas_thread_and_default(
         ["claim1-sweep", "--ns", "12,15", "--trials", "1", "--seed", "20260814"])
     assert outputs[0].startswith(b"schema_version") and outputs[0] == outputs[1]
+
+
+def test_claim1_sweep_bytes_independent_of_blas_threads_past_10000_strings():
+    # B = 14893 at n = 16, T = 6: every Lanczos dot product runs on one thread
+    outputs = _stdout_one_blas_thread_and_default(
+        ["claim1-sweep", "--ns", "16", "--trials", "1", "--seed", "20260814"])
+    assert outputs[0].startswith(b"schema_version") and outputs[0] == outputs[1]
+    assert b",0.86639590997921556,0.86639590997921556," in outputs[0]
+
+
+@pytest.mark.parametrize("seed", ["20260814", "2"])
+def test_claim1_sweep_pool_equals_serial_past_10000_strings(seed):
+    argv = ["claim1-sweep", "--ns", "15,16", "--trials", "1", "--seed", seed]
+    serial, pooled = (_stdout([*argv, "--threads", k]) for k in ("1", "2"))
+    assert serial.startswith(b"schema_version") and serial == pooled
 
 
 def test_vandam_n20_bytes_independent_of_blas_threads():
