@@ -132,13 +132,12 @@ def map_trials(fn, items, threads: int) -> list:
 
 
 class _BlasHolders:
-    """Who holds one_blas_thread, and the count its last holder restores."""
+    """How many hold one_blas_thread, and the count its last holder restores."""
 
     def __init__(self):
         self.lock = threading.Lock()  # guards the fields and every change of the count
         self.count = 0
         self.saved = 1
-        self.first = None  # the thread whose entry set the count to 1
 
 
 _HOLDERS = _BlasHolders()
@@ -151,8 +150,10 @@ def one_blas_thread():
     Holders share one count: the first saves the caller's count and sets 1,
     the last restores it, also when the body raises.  So pools and norms
     entered from several threads at once leave the count as they found it.
-    The count is process-wide: a thread that holds no guard runs at 1 too.
-    A numpy built on another BLAS is left alone.
+    The count stays 1 for the whole body, with no exception for any call
+    in it, and the lock is held only while the count changes, never while
+    BLAS runs.  The count is process-wide: a thread that holds no guard
+    runs at 1 too.  A numpy built on another BLAS is left alone.
     """
     blas = _openblas_threads()
     if blas is None:
@@ -161,7 +162,7 @@ def one_blas_thread():
     get_threads, set_threads = blas
     with _HOLDERS.lock:
         if _HOLDERS.count == 0:
-            _HOLDERS.saved, _HOLDERS.first = get_threads(), threading.get_ident()
+            _HOLDERS.saved = get_threads()
             set_threads(1)
         _HOLDERS.count += 1
     try:
@@ -173,40 +174,13 @@ def one_blas_thread():
                 set_threads(_HOLDERS.saved)
 
 
-@contextlib.contextmanager
-def callers_blas_threads():
-    """Run the body at the count one_blas_thread saved, when this thread is its one holder.
-
-    Then no pool and no other norm relies on the count being 1.  The guard's
-    lock is held for the body, so no holder enters before it ends: keep the
-    body to BLAS calls whose digits do not depend on the count.  Otherwise,
-    held by others or by no one, the body runs at the count as it is.
-    """
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    _HOLDERS.lock.acquire()
-    if _HOLDERS.count != 1 or _HOLDERS.first != threading.get_ident():
-        _HOLDERS.lock.release()
-        yield
-        return
-    set_threads = blas[1]
-    try:
-        set_threads(_HOLDERS.saved)
-        yield
-    finally:
-        set_threads(1)
-        _HOLDERS.lock.release()
-
-
 def numpy_symbols(*candidates: tuple[str, ...]) -> list | None:
     """ctypes functions for the first group of names that all resolve, or None.
 
     dlsym on numpy's own extension module also searches the libraries it
     links, so this finds the BLAS and LAPACK builds numpy itself calls.
     """
-    import ctypes  # only a pool or a proof needs it
+    import ctypes  # only pools, matrix-free norms, Lanczos checks and proofs need it
 
     lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     for names in candidates:

@@ -9,7 +9,6 @@ densely or applied matrix-free through two Walsh-Hadamard transforms.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import BooleanFunction, callers_blas_threads, fourier, numpy_symbols, one_blas_thread
+from .boolfn import BooleanFunction, fourier, numpy_symbols, one_blas_thread
 from .transforms import binomial_sum, build_weight_index, fwht_in_place
 
 # Hard memory cap: B x B doubles at 4096 is 128 MiB, so larger truncations
@@ -50,18 +49,6 @@ _MARGIN = 0.5
 # step a run stops at fixes its theta, so another interval changes printed
 # norms in their last digits.
 _CHECK_EVERY = 10
-
-# A matrix-free norm runs in one_blas_thread: OpenBLAS splits a dot product
-# of more than 10000 entries over threads, which changes its digits, and on
-# small cubes a second thread only spins.  Past a cube of _THREADED_FWHT_CUBE
-# doubles, the two transforms of each apply run at the caller's count (see
-# callers_blas_threads), whose products OpenBLAS splits by output blocks, so
-# their bits do not change.  A whole norm at one BLAS thread vs the default 2,
-# wall (CPU) time, sample_uniform(n, 11), seed 1, 6 runs, 2-vCPU VM, numpy 2.4.6:
-#   (15, 6) 2^15: 180-199 (180-199) vs 190-210 (380-420) ms
-#   (16, 4) 2^16:  96-109  (96-109) vs  93-102 (184-206) ms
-#   (17, 4) 2^17: 303-328 ms vs 259-286 ms | (18, 4) 2^18: 1.03-1.26 s vs 0.77-1.08 s
-_THREADED_FWHT_CUBE = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,11 +91,9 @@ class TruncatedFourierOperator:
         buf, scratch = self.workspace() if work is None else work
         buf.fill(0.0)
         buf[self.strings] = v
-        big = buf.size > _THREADED_FWHT_CUBE
-        with callers_blas_threads() if big else contextlib.nullcontext():
-            fwht_in_place(buf, scratch)
-            buf *= self.f.signs
-            fwht_in_place(buf, scratch)
+        fwht_in_place(buf, scratch)
+        buf *= self.f.signs
+        fwht_in_place(buf, scratch)
         out = buf[self.strings]
         out /= float(1 << self.f.n)
         return out
@@ -129,10 +114,15 @@ class NormEstimate:
 
 def build_dense(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
     """A dense operator: its B x B matrix fhat(s XOR t) over weight-<= t strings is gathered on first read."""
-    b = binomial_sum(f.n, t)
+    check_dense_budget(f.n, t)
+    return TruncatedFourierOperator(f=f, t=t, strings=build_weight_index(f.n, t), mode="dense")
+
+
+def check_dense_budget(n: int, t: int) -> None:
+    """Refuse a truncation whose B x B matrix would pass DENSE_LIMIT, before any table is built."""
+    b = binomial_sum(n, t)
     if b > DENSE_LIMIT:
         raise ValueError(f"B={b} exceeds the dense budget {DENSE_LIMIT}")
-    return TruncatedFourierOperator(f=f, t=t, strings=build_weight_index(f.n, t), mode="dense")
 
 
 def _gather_xor(coeffs: np.ndarray, strings: np.ndarray, out: np.ndarray) -> None:
@@ -232,10 +222,10 @@ def spectral_norm(
     the norm row passes no threshold and reports the explicit residual.
 
     A matrix-free norm runs all its BLAS and LAPACK calls, exact_norm's
-    transform included, inside one_blas_thread, so its digits do not depend
-    on the BLAS thread count at any B.  Past a cube of _THREADED_FWHT_CUBE
-    doubles each apply's two transforms, whose bits no count changes, run at
-    the caller's count unless a pool or another norm holds the guard.  Dense
+    transform and every apply's two transforms included, inside
+    one_blas_thread, whatever the cube size, so its digits do not depend on
+    the BLAS thread count at any B.  A serial norm thus uses one core; a
+    pool of trials (map_trials) is the way to spread norms over more.  Dense
     mode keeps the caller's count: eigvalsh runs 1.8x faster on two threads
     at B = 4096, and its last digits may change with the count.
     """

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfn import BooleanFunction, derive_seeds, map_trials, sample_uniform
-from .fourier_operator import _gather_xor, build_dense
+from .fourier_operator import _gather_xor, build_dense, check_dense_budget
 from .transforms import ball_transform, binomial_sum, build_weight_index, check_bits, walsh_matrix
 
 _EXHAUSTIVE_MAX_N = 4  # 2^(2^4) = 65536 sign tables is the largest exhaustible space
@@ -48,6 +48,11 @@ def _check_exhaustive_bits(n: int, what: str) -> None:
         raise ValueError(f"exhaustive {what} is limited to n <= {_EXHAUSTIVE_MAX_N}")
     if n < 1:
         raise ValueError(f"exhaustive {what} needs n in 1..{_EXHAUSTIVE_MAX_N}, got {n}")
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def _bound_scale(n: int, t: int, k: int) -> float:
@@ -75,8 +80,7 @@ def trace_moment(f: BooleanFunction, t: int, k: int) -> MomentReport:
 
     Past that bound it is a float64 sum of squares of the entries of F_T^k.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     value = float(_power_traces(build_dense(f, t).dense_matrix, k))
     return MomentReport(n=f.n, t=t, k=k, value=value, stderr=0.0, method="dense_exact",
                         bound_ratio=value / _bound_scale(f.n, t, k))
@@ -129,8 +133,7 @@ def expected_trace_moment_exhaustive(n: int, t: int, k: int) -> MomentReport:
     float without rounding.
     """
     _check_exhaustive_bits(n, "expectation")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     m = 1 << n
     strings = build_weight_index(n, t)
     b = strings.size
@@ -152,9 +155,15 @@ def expected_trace_moment_exhaustive(n: int, t: int, k: int) -> MomentReport:
 def expected_trace_moment_mc(
     n: int, t: int, k: int, trials: int, seed: int, threads: int = 1
 ) -> MomentReport:
-    """Monte Carlo mean of Tr(F_T^{2k}) over seeded random functions."""
+    """Monte Carlo mean of Tr(F_T^{2k}) over seeded random functions.
+
+    n, t, k and the dense budget of B are checked before any sign table is drawn.
+    """
     if trials < 2:
         raise ValueError(f"need trials >= 2 for a standard error, got {trials}")
+    check_bits(n)
+    _check_k(k)
+    check_dense_budget(n, t)
     seeds = derive_seeds(seed, trials)
 
     def one(s: int) -> float:

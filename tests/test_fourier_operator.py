@@ -437,8 +437,9 @@ def test_norm_without_dstevx_is_unchanged(n, t, monkeypatch):
         fourier_operator._lapack_stevx.cache_clear()
 
 
-# (16, 6) and (17, 6) have B > 10000, where OpenBLAS splits a dot product
-# over threads; (17, 6) also runs its transforms at the caller's count
+# (16, 6) and (17, 6) have B > 10000, where OpenBLAS would split a dot
+# product over threads, and (17, 6) has a cube past 2^16; a norm runs all its
+# BLAS on one thread at every size, so the caller's count changes no digit
 @pytest.mark.parametrize("n, t", [(14, 5), (12, 4), (16, 6), (17, 6)])
 def test_lanczos_estimates_do_not_depend_on_blas_threads(n, t):
     blas = boolfn._openblas_threads()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from querybound import moments
 from querybound.boolfn import BooleanFunction, make_family, sample_uniform
 from querybound.cli import main
 from querybound.fourier_operator import build_dense, spectral_norm
@@ -138,6 +139,18 @@ def test_mc_threads_match_serial():
     a = expected_trace_moment_mc(6, 2, 1, trials=16, seed=5, threads=1)
     b = expected_trace_moment_mc(6, 2, 1, trials=16, seed=5, threads=4)
     assert a.value == b.value
+
+
+@pytest.mark.parametrize("n, t, k, message", [
+    (24, 12, 1, r"^B=9740686 exceeds the dense budget 4096$"),
+    (24, 2, 0, r"^k must be >= 1, got 0$"),
+    (6, 7, 1, r"^need 0 <= t <= n, got n=6, t=7$"),
+    (27, 2, 1, r"^n must lie in 1\.\.26, got 27$"),
+], ids=["budget", "k", "t", "n"])
+def test_mc_refuses_before_sampling(n, t, k, message, monkeypatch):
+    monkeypatch.setattr(moments, "sample_uniform", lambda *args: pytest.fail("a sign table was drawn"))
+    with pytest.raises(ValueError, match=message):
+        expected_trace_moment_mc(n, t, k, trials=2, seed=1)
 
 
 def test_mc_bound_ratio_positive():
