@@ -22,18 +22,20 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import boolfn
-from .certify import certify_lower_bound, certify_random_sweep, run_claim1_sweep
-from .fourier_operator import build_dense, build_matrix_free, build_operator, spectral_norm
+from .certify import certify_lower_bound, certify_random_sweep, check_eps, run_claim1_sweep
+from .fourier_operator import (build_dense, build_matrix_free, build_operator, check_dense_budget,
+                               check_solver_limits, spectral_norm)
 from .interrogation import asymptotic_reference_t, choose_t, simulate_exact, simulate_sampled
 from .moments import (
     PartitionSpec,
+    check_k,
     claim2_bruteforce,
     evenness_check,
     expected_trace_moment_exhaustive,
     expected_trace_moment_mc,
     trace_moment,
 )
-from .transforms import binomial_sum, check_bits, format_bitstring, parse_bitstring
+from .transforms import binomial_sum, check_bits, check_truncation, format_bitstring, parse_bitstring
 
 SCHEMA_VERSION = 1
 
@@ -65,7 +67,8 @@ def write_rows(fieldnames: list[str], rows: list[dict], fmt: str, out: str) -> N
         Path(out).write_text(text)
 
 
-def _load_function(args) -> tuple[boolfn.BooleanFunction, str]:
+def _load_function(args, *checks) -> tuple[boolfn.BooleanFunction, str]:
+    """--function-file's function, or --family's, whose 2^n table is built only once every check(n) passes."""
     if args.function_file:
         if args.family or args.n is not None:
             raise ValueError("--function-file sets the function and its n; drop --family and --n")
@@ -75,6 +78,9 @@ def _load_function(args) -> tuple[boolfn.BooleanFunction, str]:
     if args.family:
         if args.n is None:
             raise ValueError("--family requires --n")
+        boolfn.check_family(args.family, args.n)
+        for check in checks:
+            check(args.n)
         return boolfn.make_family(args.family, args.n), args.family
     raise ValueError("provide --family or --function-file")
 
@@ -131,13 +137,13 @@ NORM_FIELDS = [
 
 
 def cmd_norm(args) -> tuple[list[str], list[dict], int]:
-    f, desc = _load_function(args)
-    if args.dense:
-        op = build_dense(f, args.t)
-    elif args.matrix_free:
-        op = build_matrix_free(f, args.t)
-    else:
-        op = build_operator(f, args.t)
+    # each builder with the check it runs on t first, then spectral_norm's own
+    build, check_t = ((build_dense, check_dense_budget) if args.dense
+                      else (build_matrix_free, check_truncation) if args.matrix_free
+                      else (build_operator, binomial_sum))
+    f, desc = _load_function(args, lambda n: check_t(n, args.t),
+                             lambda n: check_solver_limits(args.tol, args.max_iter))
+    op = build(f, args.t)
     est = spectral_norm(op, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     row = {
         "n": f.n, "t": args.t, "b": op.size, "function": desc,
@@ -197,14 +203,12 @@ def cmd_certify(args) -> tuple[list[str], list[dict], int]:
             raise ValueError("--seed seeds a random sweep; it needs --trials")
         if args.threads != 1:
             raise ValueError("--threads runs random trials in parallel; it needs --trials")
-        f, desc = _load_function(args)
+        f, desc = _load_function(args, lambda n: check_eps(args.eps),
+                                 lambda n: check_solver_limits(args.tol, args.max_iter))
         bound = replace(certify_lower_bound(f, args.eps, tol=args.tol, max_iter=args.max_iter),
                         f_descriptor=desc)
         rows = [_certificate_row(bound, 0, choose_t(f.n, args.eps))]
-    for row in rows:
-        row.setdefault("tol", args.tol)
-        row.setdefault("max_iter", args.max_iter)
-    return CERTIFY_FIELDS, rows, 0
+    return CERTIFY_FIELDS, [row | {"tol": args.tol, "max_iter": args.max_iter} for row in rows], 0
 
 
 # --------------------------------------------------------------- moments
@@ -221,9 +225,8 @@ def cmd_moments(args) -> tuple[list[str], list[dict], int]:
         raise ValueError(f"--method {args.method} uses no randomness and no pool; "
                          "--trials, --seed and --threads need --method mc")
     if args.method == "exact":
-        f, desc = _load_function(args)
+        f, desc = _load_function(args, lambda n: check_k(args.k), lambda n: check_dense_budget(n, args.t))
         report = trace_moment(f, args.t, args.k)
-        n = f.n
     elif args.family or args.function_file:
         raise ValueError(f"--method {args.method} averages over random functions; "
                          "--family and --function-file need --method exact")
@@ -231,15 +234,13 @@ def cmd_moments(args) -> tuple[list[str], list[dict], int]:
         if args.n is None:
             raise ValueError("--method exhaustive requires --n")
         report = expected_trace_moment_exhaustive(args.n, args.t, args.k)
-        n = args.n
     else:
         if args.n is None or args.trials is None or args.seed is None:
             raise ValueError("--method mc requires --n, --trials and --seed")
         report = expected_trace_moment_mc(args.n, args.t, args.k, args.trials,
                                           args.seed, threads=args.threads)
-        n = args.n
     row = {
-        "n": n, "t": args.t, "k": args.k, "b": binomial_sum(n, args.t),
+        "n": report.n, "t": args.t, "k": args.k, "b": binomial_sum(report.n, args.t),
         "method": report.method, "function": desc,
         "value": report.value, "stderr": report.stderr,
         "bound_ratio": report.bound_ratio,

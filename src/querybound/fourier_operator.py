@@ -60,20 +60,12 @@ class TruncatedFourierOperator:
 
     @property
     def dense_matrix(self) -> np.ndarray | None:
-        """The B x B matrix fhat(s XOR t), gathered on first read and kept; None in matrix-free mode.
-
-        Kept in __dict__: functools.cached_property's lock is shared by every
-        instance on Python 3.11, so pooled trials would gather in turn.  Two
-        first reads at once may both gather; either copy is the same matrix.
-        """
+        """The B x B matrix fhat(s XOR t), gathered afresh on every read; None in matrix-free mode."""
         if self.mode != "dense":
             return None
-        if "_dense" not in self.__dict__:
-            dense = np.empty((self.size, self.size))
-            _gather_xor(fourier(self.f).coeffs, self.strings, dense)
-            dense.flags.writeable = False
-            self.__dict__["_dense"] = dense
-        return self.__dict__["_dense"]
+        dense = np.empty((self.size, self.size))
+        _gather_xor(fourier(self.f).coeffs, self.strings, dense)
+        return dense
 
     @property
     def size(self) -> int:
@@ -113,7 +105,7 @@ class NormEstimate:
 
 
 def build_dense(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
-    """A dense operator: its B x B matrix fhat(s XOR t) over weight-<= t strings is gathered on first read."""
+    """A dense operator: its B x B matrix fhat(s XOR t) over weight-<= t strings is gathered on each read."""
     check_dense_budget(f.n, t)
     return TruncatedFourierOperator(f=f, t=t, strings=build_weight_index(f.n, t), mode="dense")
 
@@ -148,7 +140,7 @@ def build_operator(f: BooleanFunction, t: int) -> TruncatedFourierOperator:
     or B = 2^(n-1).  Every T is dense for n <= 8; from n = 12 on, T <= 3 is
     dense (n = 16: B = 697) and T = 4 is not (B = 2517).  The mode depends on
     (n, B) alone, never on the caller or the machine.  A dense matrix is
-    gathered on first read, so a truncation whose exact_norm is known never
+    gathered only when read, so a truncation whose exact_norm is known never
     gathers it.
     """
     if _dense_is_cheaper(f.n, binomial_sum(f.n, t)):
@@ -205,8 +197,8 @@ def spectral_norm(
     from that eigh alone.  The second pass replays the recurrence to form
     the unit Ritz vector y and applies the operator once more: the reported
     residual is ||F_T y - theta y||, so some eigenvalue lies within it of
-    theta, and converged means residual <= tol.  |theta|
-    can only undershoot the norm.  `iterations` counts first-pass steps.
+    theta, and converged means residual <= tol.  |theta| can only undershoot
+    the norm.  `iterations` counts first-pass steps.
 
     A caller that only asks whether value + tol < threshold passes that
     threshold.  When the first pass's |theta| + tol already reaches it, the
@@ -214,12 +206,9 @@ def spectral_norm(
     the reported residual is then the first-pass estimate |beta_k s_k|, and
     converged means that estimate is <= tol.  value and iterations are the
     same as without threshold, and a run that can still fall below it keeps
-    the replay and the explicit residual.  certify passes its 1/2 - eps, so
-    a certificate's stopping T runs one pass; its CLI rows print only the
-    norms, which do not change.  claim1-sweep passes 0.0, which every
-    |theta| + tol reaches, so none of its norms replays; its rows print no
-    residual, and `unconverged` counts first-pass estimates above tol.  Only
-    the norm row passes no threshold and reports the explicit residual.
+    the replay and the explicit residual.  certify_lower_bound and
+    run_claim1_sweep pass one, and say what it does to their rows; only the
+    norm command passes none and reports the explicit residual.
 
     A matrix-free norm runs all its BLAS and LAPACK calls, exact_norm's
     transform and every apply's two transforms included, inside
@@ -229,10 +218,7 @@ def spectral_norm(
     mode keeps the caller's count: eigvalsh runs 1.8x faster on two threads
     at B = 4096, and its last digits may change with the count.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    check_solver_limits(tol, max_iter)
     if op.mode == "dense":
         value = exact_norm(op)
         if value is None:
@@ -240,6 +226,14 @@ def spectral_norm(
         return NormEstimate(value=value, method="dense_eigen", residual=0.0, iterations=0, converged=True)
     with one_blas_thread():
         return _lanczos_norm(op, tol, max_iter, seed, threshold)
+
+
+def check_solver_limits(tol: float, max_iter: int) -> None:
+    """Refuse a tol or max_iter that spectral_norm cannot run with, before any table is built."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
 
 def _lanczos_norm(op: TruncatedFourierOperator, tol: float, max_iter: int, seed: int,
@@ -352,8 +346,8 @@ def prove_norm_below(op: TruncatedFourierOperator, tau: float) -> bool:
     The off-diagonal entries -+fhat(s XOR t) are exact in float64, and the
     diagonal, the same for every row, is rounded down, so the factored matrix
     is at most the exact (tau I -+ F_T) - cI.  tau itself is taken as exact.
-    A dense operator's matrix is gathered once and reused; a matrix-free one is gathered here.
-    Memory is one B x B buffer, factored in place by numpy's LAPACK.
+    Either mode gathers -+F_T into one B x B buffer for each factorization,
+    which numpy's LAPACK factors in place.
     """
     if tau <= 0.0:
         return False
@@ -376,12 +370,9 @@ def prove_norm_below(op: TruncatedFourierOperator, tau: float) -> bool:
         diag = float(target)
         if Fraction(diag) > target:
             diag = math.nextafter(diag, -math.inf)
-        if op.mode == "dense":
-            np.multiply(op.dense_matrix, -sign, out=buf)
-        else:
-            _gather_xor(coeffs, op.strings, buf)
-            if sign > 0:
-                np.negative(buf, out=buf)
+        _gather_xor(coeffs, op.strings, buf)
+        if sign > 0:
+            np.negative(buf, out=buf)
         np.fill_diagonal(buf, diag)
         if not _cholesky_completes(buf):
             return False

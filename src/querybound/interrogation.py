@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transforms import ball_transform, binomial_sum, check_bits
+from .transforms import ball_transform, binomial_sum, check_truncation
 
 # Draws per generator call.
 _BLOCK = 1 << 20
@@ -47,9 +47,7 @@ class InterrogationOutcome:
 
 
 def _check_args(n: int, t: int, x: int) -> None:
-    check_bits(n)
-    if t < 0 or t > n:
-        raise ValueError(f"need 0 <= t <= n, got t={t}")
+    check_truncation(n, t)
     if x < 0 or x >= (1 << n):
         raise ValueError(f"target {x} does not fit in {n} bits")
 
@@ -97,7 +95,8 @@ def simulate_sampled(n: int, t: int, x: int, shots: int, seed: int) -> Interroga
     mass exceeds U, then the first column l whose cumulative mass within the
     row, read from the table row dh[h] of within-row sums, exceeds what is
     left of U.  No string of zero mass is ever taken.  Every mass and
-    cumulative sum is an integer at most B 2^n <= 2^52, exact in a double.
+    cumulative sum stays an exact int64; U, an integer below 2^53 and so
+    exact in a double, is converted to int64 once per block.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -105,13 +104,11 @@ def simulate_sampled(n: int, t: int, x: int, shots: int, seed: int) -> Interroga
     within = _within_row_cdf(rows)
     masses = within[dh, -1]
     row_cdf = np.cumsum(masses)
-    before = (row_cdf - masses).astype(float)  # mass of all earlier rows
-    row_cdf = row_cdf.astype(float)
-    within = within.astype(float)
+    before = row_cdf - masses  # mass of all earlier rows
     rng = np.random.Generator(np.random.PCG64(seed))
     sampled: Counter[int] = Counter()
     for done in range(0, shots, _BLOCK):
-        u = np.floor(rng.random(min(shots - done, _BLOCK)) * row_cdf[-1])
+        u = np.floor(rng.random(min(shots - done, _BLOCK)) * float(row_cdf[-1])).astype(np.int64)
         z = np.searchsorted(row_cdf, u, side="right")  # the row h, then h << lo | l
         u -= before[z]  # what is left within the row
         e = dh[z]

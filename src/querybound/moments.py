@@ -50,7 +50,7 @@ def _check_exhaustive_bits(n: int, what: str) -> None:
         raise ValueError(f"exhaustive {what} needs n in 1..{_EXHAUSTIVE_MAX_N}, got {n}")
 
 
-def _check_k(k: int) -> None:
+def check_k(k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
@@ -80,7 +80,7 @@ def trace_moment(f: BooleanFunction, t: int, k: int) -> MomentReport:
 
     Past that bound it is a float64 sum of squares of the entries of F_T^k.
     """
-    _check_k(k)
+    check_k(k)
     value = float(_power_traces(build_dense(f, t).dense_matrix, k))
     return MomentReport(n=f.n, t=t, k=k, value=value, stderr=0.0, method="dense_exact",
                         bound_ratio=value / _bound_scale(f.n, t, k))
@@ -133,7 +133,7 @@ def expected_trace_moment_exhaustive(n: int, t: int, k: int) -> MomentReport:
     float without rounding.
     """
     _check_exhaustive_bits(n, "expectation")
-    _check_k(k)
+    check_k(k)
     m = 1 << n
     strings = build_weight_index(n, t)
     b = strings.size
@@ -162,7 +162,7 @@ def expected_trace_moment_mc(
     if trials < 2:
         raise ValueError(f"need trials >= 2 for a standard error, got {trials}")
     check_bits(n)
-    _check_k(k)
+    check_k(k)
     check_dense_budget(n, t)
     seeds = derive_seeds(seed, trials)
 

@@ -32,6 +32,13 @@ def check_bits(n: int) -> None:
         raise ValueError(f"n must lie in 1..{MAX_BITS}, got {n}")
 
 
+def check_truncation(n: int, t: int) -> None:
+    """check_bits(n), then refuse t outside 0..n."""
+    check_bits(n)
+    if t < 0 or t > n:
+        raise ValueError(f"need 0 <= t <= n, got t={t}")
+
+
 @functools.cache
 def walsh_matrix(b: int) -> np.ndarray:
     """Dense 2^b x 2^b Walsh matrix of +-1 entries (float64), shared, so read-only."""
@@ -101,9 +108,7 @@ def ball_transform(n: int, t: int) -> np.ndarray:
     K[d] sums the Krawtchouk values K_i(d) over i <= t, built by the exact
     recurrence (i+1) K_{i+1} = (n - 2d) K_i - (n - i + 1) K_{i-1}.
     """
-    check_bits(n)
-    if t < 0 or t > n:
-        raise ValueError(f"need 0 <= t <= n, got t={t}")
+    check_truncation(n, t)
     d = np.arange(n + 1, dtype=np.int64)
     k = [np.zeros_like(d), np.ones_like(d)]  # K_{-1} and K_0
     for i in range(t):
@@ -125,9 +130,7 @@ def build_weight_index(n: int, t: int) -> np.ndarray:
 
     Its size is B = binomial_sum(n, t).
     """
-    check_bits(n)
-    if t < 0 or t > n:
-        raise ValueError(f"need 0 <= t <= n, got t={t}")
+    check_truncation(n, t)
     vals = np.arange(1 << n, dtype=np.int64)
     weights = np.bitwise_count(vals)
     kept = vals[weights <= t]

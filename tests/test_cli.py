@@ -204,6 +204,41 @@ def test_claim1_sweep_checks_every_n_before_sampling(ns, bad, monkeypatch, capsy
     assert captured.err == f"error: n must lie in 1..26, got {bad}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("moments --method exact --family parity --n 24 --t 12", "B=9740686 exceeds the dense budget 4096"),
+        ("moments --method exact --family parity --n 24 --t 2 --k 0", "k must be >= 1, got 0"),
+        ("norm --family parity --n 24 --t 30", "need 0 <= t <= n, got n=24, t=30"),
+        ("norm --family parity --n 24 --t 30 --matrix-free", "need 0 <= t <= n, got t=30"),
+        ("norm --family parity --n 24 --t 12 --dense", "B=9740686 exceeds the dense budget 4096"),
+        ("norm --family parity --n 24 --t 2 --tol 0", "tol must be positive and finite, got 0.0"),
+        ("norm --family parity --n 24 --t 2 --max-iter 0", "max_iter must be >= 1, got 0"),
+        ("certify --family parity --n 24 --eps 0.7", "eps must lie in (0, 0.5), got 0.7"),
+        ("certify --family parity --n 24 --eps 0.1 --tol -1", "tol must be positive and finite, got -1.0"),
+        ("certify --n 24 --eps 0.7 --trials 1 --seed 1", "eps must lie in (0, 0.5), got 0.7"),
+        ("certify --n 24 --eps 0.1 --trials 1 --seed 1 --max-iter 0", "max_iter must be >= 1, got 0"),
+        ("certify --n 24 --eps 0.7 --trials 1 --seed 1 --include-family parity",
+         "eps must lie in (0, 0.5), got 0.7"),
+        ("claim1-sweep --ns 24 --trials 1 --seed 1 --tol 0", "tol must be positive and finite, got 0.0"),
+    ],
+    ids=["moments-budget", "moments-k", "norm-t", "norm-t-matrix-free", "norm-budget", "norm-tol",
+         "norm-max-iter", "certify-eps", "certify-tol", "sweep-eps", "sweep-max-iter", "sweep-family-eps",
+         "claim1-tol"],
+)
+def test_refusals_come_before_the_first_sign_table(argv, message, monkeypatch, capsys):
+    def no_table(*args):
+        pytest.fail("a sign table was built before the refusal")
+
+    for module in (boolfn, certify):  # the CLI reads boolfn's names, the sweeps their own imports
+        monkeypatch.setattr(module, "make_family", no_table)
+        monkeypatch.setattr(module, "sample_uniform", no_table)
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("ns", ["6,,8", "6,x"], ids=["empty", "not-int"])
 def test_claim1_sweep_refuses_unparsable_ns(ns, capsys):
     code = main(["claim1-sweep", "--ns", ns, "--trials", "2", "--seed", "1"])

@@ -527,7 +527,7 @@ def test_exact_norm_gathers_no_matrix(monkeypatch, capsys):
     assert not prove_norm_below(op, 0.49)
 
 
-def test_dense_operator_gathers_once_for_solve_and_proof(monkeypatch):
+def test_dense_matrix_is_gathered_on_every_use(monkeypatch):
     calls = []
     gather = fourier_operator._gather_xor
 
@@ -539,9 +539,11 @@ def test_dense_operator_gathers_once_for_solve_and_proof(monkeypatch):
     op = build_dense(sample_uniform(8, 5), 3)  # B = 93, no exact fact
     assert exact_norm(op) is None and calls == []
     norm = spectral_norm(op).value
-    assert prove_norm_below(op, norm + 0.01)
-    assert op.dense_matrix is op.dense_matrix
     assert calls == [op.size]
+    assert prove_norm_below(op, norm + 0.01)  # one gather per factorization, of -F_T and of +F_T
+    assert calls == [op.size] * 3
+    first, second = op.dense_matrix, op.dense_matrix
+    assert first is not second and np.array_equal(first, second)
     assert build_matrix_free(sample_uniform(8, 5), 3).dense_matrix is None
 
 

@@ -73,7 +73,6 @@ def test_proof_and_build_hold_one_matrix_at_a_time(mode):
     f, t = sample_uniform(16, 3), 4
     b = binomial_sum(16, t)
     op = OPERATORS[mode](f, t)
-    op.dense_matrix  # a dense operator's matrix is gathered on first read, before tracing
     matrix_bytes = 8 * b * b
     tracemalloc.start()
     try:
