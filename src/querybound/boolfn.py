@@ -215,19 +215,31 @@ def write_truth_table(f: BooleanFunction, path: str | Path) -> None:
     Path(path).write_text(f"n={f.n}\n{chars}\n")
 
 
-def read_truth_table(path: str | Path) -> BooleanFunction:
-    lines = Path(path).read_text().splitlines()
-    if len(lines) < 2 or not lines[0].startswith("n="):
+def read_truth_table(path: str | Path, *checks) -> BooleanFunction:
+    """The format of write_truth_table.  check_bits(n), then each check(n), runs on
+    the 'n=' line before the sign row is read, so a refused file costs no 2^n table."""
+    with Path(path).open() as fh:
+        head = fh.readline().removesuffix("\n")
+        if not head.startswith("n="):
+            raise ValueError(f"{path}: expected 'n=<int>' on line 1 and a sign row on line 2")
+        try:
+            n = int(head[2:])
+        except ValueError:
+            raise ValueError(f"{path}: malformed bit count {head!r}") from None
+        check_bits(n)
+        for check in checks:
+            check(n)
+        return BooleanFunction(n, _read_sign_row(fh, path, n))
+
+
+def _read_sign_row(fh, path: str | Path, n: int) -> np.ndarray:
+    """The +-1 table of the line after the 'n=' line, as float64."""
+    line = fh.readline()
+    if not line:
         raise ValueError(f"{path}: expected 'n=<int>' on line 1 and a sign row on line 2")
-    try:
-        n = int(lines[0][2:])
-    except ValueError:
-        raise ValueError(f"{path}: malformed bit count {lines[0]!r}") from None
-    check_bits(n)
-    row = lines[1].strip()
+    row = line.strip()
     if len(row) != (1 << n):
         raise ValueError(f"{path}: sign row must hold exactly 2^{n} characters, got {len(row)}")
     if any(c not in "+-" for c in row):
         raise ValueError(f"{path}: sign row may only contain '+' and '-'")
-    signs = np.where(np.frombuffer(row.encode(), dtype=np.uint8) == ord("+"), 1.0, -1.0)
-    return BooleanFunction(n, signs)
+    return np.where(np.frombuffer(row.encode(), dtype=np.uint8) == ord("+"), 1.0, -1.0)

@@ -68,11 +68,11 @@ def write_rows(fieldnames: list[str], rows: list[dict], fmt: str, out: str) -> N
 
 
 def _load_function(args, *checks) -> tuple[boolfn.BooleanFunction, str]:
-    """--function-file's function, or --family's, whose 2^n table is built only once every check(n) passes."""
+    """--function-file's or --family's function, its 2^n table built only once every check(n) passes."""
     if args.function_file:
         if args.family or args.n is not None:
             raise ValueError("--function-file sets the function and its n; drop --family and --n")
-        f = boolfn.read_truth_table(args.function_file)
+        f = boolfn.read_truth_table(args.function_file, *checks)
         digest = hashlib.sha256(Path(args.function_file).read_bytes()).hexdigest()[:12]
         return f, f"file:{digest}"
     if args.family:

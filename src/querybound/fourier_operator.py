@@ -29,11 +29,13 @@ DENSE_LIMIT = 4096
 # crawls there: for a balanced f it took 200-1690 steps, and n = 11, T = 5 took
 # 5-7.5 s against 0.13 s dense.  Past it exact_norm answers.  Below it, up to
 # n = 26, dense means n <= 11, or T <= 3, or the half point.  Build plus eigvalsh
-# vs Lanczos in ms, sample_uniform(n, 42), median of 5, 2-vCPU VM:
-#   (12, 3) B =  299:  5.0 vs  7.7 dense | (12, 4) B =  794:   52 vs  26 matrix-free
-#   (16, 3) B =  697:   38 vs  186 dense | (16, 4) B = 2517: 1303 vs 232 matrix-free
-#   (20, 3) B = 1351:  175 vs 2046 dense | (11, 4) B =  562:   22 vs  10 dense
-# (11, 4) is a near tie: over 8 functions Lanczos took 13-26 ms, dense 23-26.
+# vs Lanczos in ms, sample_uniform(n, 42), median of 5 in each of 2 runs,
+# 2-vCPU VM, eigvalsh at the default BLAS threads, Lanczos on one:
+#   (12, 3) B =  299: 4.3-5.7 vs   5.1-8.1 dense | (12, 4) B =  794:   34-45 vs 19-20 matrix-free
+#   (16, 3) B =  697:   27-30 vs    68-101 dense | (16, 4) B = 2517: 826-875 vs 87-93 matrix-free
+#   (20, 3) B = 1351: 142-152 vs 2128-2362 dense | (11, 4) B =  562:   14-15 vs 7.9-8.5 dense
+# (11, 4) stays dense though Lanczos wins there: over sample_uniform(11, 0..7)
+# Lanczos took 8.1-14.2 ms, dense 14.4-15.6.  Moving it needs n in the rule.
 _CROSSOVER = 10**5
 
 # Lanczos stops once the residual estimate of its Ritz pair is below

@@ -17,9 +17,23 @@ import math
 
 import numpy as np
 
-# Largest Kronecker factor of the transform, in bits: 6 measured fastest for
-# n in 13..24; factors of 5, 7 and 8 bits were each slower somewhere there.
-_FACTOR_BITS = 6
+# Largest Kronecker factor of the transform, in bits.  Every matrix-free norm
+# runs its transforms on one BLAS thread, and there 16 x 16 factors win from
+# n = 12 to 18.  One transform at caps 4 and 6, median of 7 alternating runs
+# (3 from n = 23), one OpenBLAS thread, numpy 2.4.6, 2-vCPU VM:
+#   n          4     5     6     7     8     9    10    11    12    13    us
+#   cap 4    2.8   4.4   4.5   4.6   4.8   7.9   9.1  11.6  15.4  24.6
+#   cap 6    2.9   3.1   3.6   4.6   4.9   5.8   7.0  10.9  19.4  27.3
+#   n         14    15    16    17    18    19    20    21    22          ms
+#   cap 4  0.038 0.078 0.214 0.545  1.41  3.99  9.05  13.5  41.1
+#   cap 6  0.048 0.130 0.310 0.768  1.96  3.89  8.74  16.0  49.0
+#   n         23    24    25    26                                      ms
+#   cap 4    113   226   510  1082
+#   cap 6    141   245   469  1083
+# Cap 4 loses where fewer passes win: by up to 2 us at n = 5, 6, 9, 10, 11,
+# by 3% at n = 19, 20 and by 9% at n = 25.  Caps 3 and 5 were slower than
+# 4 at n = 12..15 (cap 5 by 1.6x at n = 15) and within 10% of it at 16..18.
+_FACTOR_BITS = 4
 
 # Largest n of the package, for two reasons: a whole 2^n table of doubles is
 # 512 MiB at n = 26, and vandam's integer CDF, B 2^n <= 2^52, stays below 2^53.
@@ -52,10 +66,11 @@ def fwht_in_place(v: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarra
     """Unnormalized Walsh-Hadamard transform of a length-2^n buffer, in place.
 
     Computes W v where W[s, x] = (-1)^(s.x).  Applying it twice multiplies
-    the input by 2^n.  W_n = W_{c_1} (x) ... (x) W_{c_k} with k = ceil(n/6)
-    near-equal factors; each is one BLAS matmul along its axis, so the cost is
-    k passes of O(2^c 2^n) flops.  Exact on integer input whose partial sums
-    stay below 2^53, e.g. any +-1 table.  The buffer is overwritten and returned.
+    the input by 2^n.  W_n = W_{c_1} (x) ... (x) W_{c_k} with k = ceil(n/4)
+    near-equal factors of at most 16 x 16; each is one BLAS matmul along its
+    axis, so the cost is k passes of O(2^c 2^n) flops.  Exact on integer
+    input whose partial sums stay below 2^53, e.g. any +-1 table.  The buffer
+    is overwritten and returned.
 
     Each pass writes its matmul into the other of v and a second buffer of the
     same shape and dtype, so no pass allocates a temporary or copies it back;

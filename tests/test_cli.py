@@ -221,19 +221,25 @@ def test_claim1_sweep_checks_every_n_before_sampling(ns, bad, monkeypatch, capsy
         ("certify --n 24 --eps 0.7 --trials 1 --seed 1 --include-family parity",
          "eps must lie in (0, 0.5), got 0.7"),
         ("claim1-sweep --ns 24 --trials 1 --seed 1 --tol 0", "tol must be positive and finite, got 0.0"),
+        ("norm --function-file {file} --t 30", "need 0 <= t <= n, got n=24, t=30"),
+        ("certify --function-file {file} --eps 0.7", "eps must lie in (0, 0.5), got 0.7"),
+        ("moments --method exact --function-file {file} --t 12", "B=9740686 exceeds the dense budget 4096"),
     ],
     ids=["moments-budget", "moments-k", "norm-t", "norm-t-matrix-free", "norm-budget", "norm-tol",
          "norm-max-iter", "certify-eps", "certify-tol", "sweep-eps", "sweep-max-iter", "sweep-family-eps",
-         "claim1-tol"],
+         "claim1-tol", "file-norm-t", "file-certify-eps", "file-moments-budget"],
 )
-def test_refusals_come_before_the_first_sign_table(argv, message, monkeypatch, capsys):
+def test_refusals_come_before_the_first_sign_table(argv, message, tmp_path, monkeypatch, capsys):
     def no_table(*args):
         pytest.fail("a sign table was built before the refusal")
 
     for module in (boolfn, certify):  # the CLI reads boolfn's names, the sweeps their own imports
         monkeypatch.setattr(module, "make_family", no_table)
         monkeypatch.setattr(module, "sample_uniform", no_table)
-    code = main(argv.split())
+    monkeypatch.setattr(boolfn, "_read_sign_row", no_table)
+    table = tmp_path / "n24.txt"
+    table.write_text("n=24\n++\n")  # a file's row is read only after every check passes
+    code = main(argv.format(file=table).split())
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {message}\n"
@@ -611,7 +617,7 @@ def test_claim1_sweep_bytes_independent_of_blas_threads_past_10000_strings():
     outputs = _stdout_one_blas_thread_and_default(
         ["claim1-sweep", "--ns", "16", "--trials", "1", "--seed", "20260814"])
     assert outputs[0].startswith(b"schema_version") and outputs[0] == outputs[1]
-    assert b",0.86639590997921556,0.86639590997921556," in outputs[0]
+    assert b",0.86639590997921601,0.86639590997921601," in outputs[0]
 
 
 @pytest.mark.parametrize("seed", ["20260814", "2"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from querybound import transforms
 from querybound.boolfn import fourier, sample_uniform
 from querybound.transforms import (
     MAX_BITS,
@@ -59,7 +60,7 @@ def butterfly_walsh(v):
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("n", [9, 12, 13, 18, 19, 20])
 def test_fwht_matches_butterfly_reference(n, dtype):
-    # 2 to 4 Kronecker factors.  Each output is a +-1 sum of 2^n inputs, and
+    # 3 to 5 Kronecker factors.  Each output is a +-1 sum of 2^n inputs, and
     # random-sign rounding in either order grows like n * eps * ||v||_2; the
     # factor 16 is headroom over that, far below the error of any wrong sign.
     rng = np.random.default_rng(200 + n)
@@ -108,7 +109,7 @@ def test_fwht_in_place_returns_same_buffer():
 def per_pass_temporaries(v):
     """The transform as each pass used to run it: grid[:] = grid @ W, a temporary per pass."""
     n = v.shape[0].bit_length() - 1
-    k = -(-n // 6)
+    k = -(-n // transforms._FACTOR_BITS)
     low = 0
     for i in range(k):
         c = n // k + (i < n % k)
@@ -124,7 +125,7 @@ def per_pass_temporaries(v):
 
 @pytest.mark.parametrize("n", range(0, 17))
 def test_fwht_scratch_is_bit_identical_to_per_pass_temporaries(n):
-    # k = 0..3 passes: an odd k copies the result back from the scratch buffer
+    # k = 0..4 passes: an odd k copies the result back from the scratch buffer
     v = np.random.default_rng(300 + n).standard_normal(1 << n)
     expect = per_pass_temporaries(v.copy())
     scratch = np.full_like(v, np.nan)
