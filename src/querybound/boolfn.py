@@ -240,6 +240,7 @@ def _read_sign_row(fh, path: str | Path, n: int) -> np.ndarray:
     row = line.strip()
     if len(row) != (1 << n):
         raise ValueError(f"{path}: sign row must hold exactly 2^{n} characters, got {len(row)}")
-    if any(c not in "+-" for c in row):
+    data = row.encode()
+    if data.translate(None, b"+-"):  # what is left after deleting every sign
         raise ValueError(f"{path}: sign row may only contain '+' and '-'")
-    return np.where(np.frombuffer(row.encode(), dtype=np.uint8) == ord("+"), 1.0, -1.0)
+    return np.where(np.frombuffer(data, dtype=np.uint8) == ord("+"), 1.0, -1.0)

@@ -4,9 +4,10 @@ Any T-query algorithm computing f with error at most eps forces
 norm(F_T) >= 1/2 - eps, where F_T is the truncated Fourier operator.
 Contrapositive: whenever the measured norm sits strictly below the
 threshold (minus a numerical guard band), no such algorithm exists and
-T + 1 queries become a lower bound, certified when each such norm bound
-also has a proof.  The seeded sweeps over random functions live here too:
-certificates (certify_random_sweep) and norm scaling (run_claim1_sweep).
+T + 1 queries become a lower bound, certified by one proof at the largest
+refuted T, since each smaller F_T is a principal submatrix of it.  The
+seeded sweeps over random functions live here too: certificates
+(certify_random_sweep) and norm scaling (run_claim1_sweep).
 """
 
 from __future__ import annotations
@@ -80,36 +81,34 @@ def certify_lower_bound(
     """Scan T = 0, 1, ... and refute every T whose norm clears the guard band.
 
     A truncation T is refuted when a converged norm estimate plus tol lies
-    below 1/2 - eps (converged means residual <= tol); the returned
-    lower_bound_t is the first non-refuted T.  Norm values are
-    nondecreasing in T (nested principal submatrices), so nothing beyond
-    the stopping point can be refuted.
-    Each truncation's operator comes from build_operator, which picks dense
-    or matrix-free by its B^3 vs 2^n crossover, so the norms are estimates
-    either way.  status is "certified" when every refuted T also has a
-    proof that its norm lies below 1/2 - eps (prove_norm_below: an exactly
+    below 1/2 - eps; lower_bound_t is the first T that is not.  Norms are
+    nondecreasing in T (nested principal submatrices), so the scan stops
+    there.  build_operator picks dense or matrix-free per T, and a Lanczos
+    norm runs spectral_norm's first pass alone (replay=False), so its
+    residual and converged come from the estimate |beta_k s_k|; CLI rows
+    print only the norms, which a replay would not change.
+    No estimate bounds ||F_T|| from above, so status rests on one proof:
+    prove_norm_below at the largest refuted T = lower_bound_t - 1 (an exactly
     zero operator, or for B <= DENSE_LIMIT two verified Cholesky
-    factorizations), else "empirical".  A refutation past DENSE_LIMIT with
-    a nonzero operator stays empirical: a Ritz value can only undershoot
-    the true norm.
-    Each norm is computed with spectral_norm's threshold = 1/2 - eps, so the
-    stopping T's Lanczos norm runs one pass and reports its first-pass
-    residual estimate; CLI rows print only the norms, which do not change.
+    factorizations).  Each smaller F_T' is a principal submatrix of F_T, so
+    ||F_T'|| <= ||F_T|| < 1/2 - eps.  status is "certified" when that proof
+    holds or nothing is refuted, else "empirical" (a nonzero F_T past
+    DENSE_LIMIT has no proof).
     """
     check_eps(eps)
     g = canonical_sign(f)
     threshold = 0.5 - eps
-    # one step down from the rounded difference is at most the exact 1/2 - eps
-    tau = math.nextafter(threshold, 0.0)
     evidence: list[NormEstimate] = []
-    proven = True
+    refuted = None  # the operator of the largest refuted T
     for t in range(g.n + 1):  # T = n has norm 1, so the scan always breaks
         op = build_operator(g, t)
-        est = spectral_norm(op, tol=tol, max_iter=max_iter, threshold=threshold)
+        est = spectral_norm(op, tol=tol, max_iter=max_iter, replay=False)
         evidence.append(est)
         if not (est.converged and est.value + tol < threshold):
             break
-        proven = proven and prove_norm_below(op, tau)
+        refuted = op
+    # one step down from the rounded difference is at most the exact 1/2 - eps
+    proven = refuted is None or prove_norm_below(refuted, math.nextafter(threshold, 0.0))
     status = "certified" if proven else "empirical"
     exponent = g.n * binary_entropy(t / g.n)
     entropy = EntropyReport(b=binomial_sum(g.n, t), exponent=exponent, bound=2.0 ** exponent)
@@ -191,10 +190,10 @@ def run_claim1_sweep(
     seed.  All norms of all n share one pool of `threads`.  Rows hold the
     measurement and the configuration behind it (n, t, t_rule, seed, tol,
     max_iter), nothing else.
-    Each norm passes spectral_norm threshold 0.0, so Lanczos runs one pass:
-    no row prints a residual, and value and iterations are those of the
-    default two passes.  `unconverged` counts the norms whose first-pass
-    residual estimate |beta_k s_k| stayed above tol.
+    Each norm runs spectral_norm's first pass alone (replay=False): no row
+    prints a residual, and value and iterations are those of the default
+    two passes.  `unconverged` counts the norms whose first-pass residual
+    estimate |beta_k s_k| stayed above tol.
     Every argument is checked before any sign table is built.
     """
     if not 0.0 < t_rule <= 0.5:
@@ -217,7 +216,7 @@ def run_claim1_sweep(
         n, family, s = job  # each table is built by the thread that norms it
         f = sample_uniform(n, s) if family is None else make_family(family, n)
         op = build_matrix_free(f, int(t_rule * n))
-        return spectral_norm(op, tol=tol, max_iter=max_iter, seed=s, threshold=0.0)
+        return spectral_norm(op, tol=tol, max_iter=max_iter, seed=s, replay=False)
 
     ests = iter(map_trials(norm, jobs, threads))
     rows = []

@@ -1,13 +1,14 @@
 """Command-line front end: one subcommand per capability, CSV or JSON out.
 
 Every row echoes the effective configuration and a schema_version, floats
-are serialized with 17 significant digits, and a fixed (config, seed,
-threads=1) always produces byte-identical output, except that digits from
-the dense eigensolver can change with the number of BLAS threads.  A
-matrix-free (Lanczos) norm runs its BLAS on one thread in any run, so its
-digits never do.  With --threads > 1 each trial's BLAS runs on one thread,
-so pooled output does not depend on the thread variables and equals the
-serial run under OPENBLAS_NUM_THREADS=1.
+are serialized with 17 significant digits, and on one machine and OpenBLAS
+kernel a fixed (config, seed, threads=1) produces byte-identical output,
+except that digits from the dense eigensolver can change with the number of
+BLAS threads.  A matrix-free (Lanczos) norm runs its BLAS on one thread in
+any run, so its digits never do.  With --threads > 1 each trial's BLAS runs
+on one thread, so pooled output does not depend on the thread variables and
+equals the serial run under OPENBLAS_NUM_THREADS=1.  The last digits of a
+norm can differ under another kernel, such as AVX2 against AVX-512.
 """
 
 from __future__ import annotations

@@ -101,7 +101,7 @@ class TruncatedFourierOperator:
 class NormEstimate:
     value: float
     method: str  # "dense_eigen" | "lanczos", the operator's mode even when exact_norm decides
-    residual: float
+    residual: float  # Lanczos: ||F_T y - theta y||, or |beta_k s_k| with replay=False; else 0
     iterations: int
     converged: bool
 
@@ -181,7 +181,7 @@ def spectral_norm(
     max_iter: int = 10000,
     seed: int = 0,
     *,
-    threshold: float | None = None,
+    replay: bool = True,
 ) -> NormEstimate:
     """Largest |eigenvalue| of the (symmetric) operator.
 
@@ -202,15 +202,13 @@ def spectral_norm(
     theta, and converged means residual <= tol.  |theta| can only undershoot
     the norm.  `iterations` counts first-pass steps.
 
-    A caller that only asks whether value + tol < threshold passes that
-    threshold.  When the first pass's |theta| + tol already reaches it, the
-    answer is no whatever the replay would find, so the replay is skipped:
-    the reported residual is then the first-pass estimate |beta_k s_k|, and
-    converged means that estimate is <= tol.  value and iterations are the
-    same as without threshold, and a run that can still fall below it keeps
-    the replay and the explicit residual.  certify_lower_bound and
-    run_claim1_sweep pass one, and say what it does to their rows; only the
-    norm command passes none and reports the explicit residual.
+    replay=False stops after the first pass: residual is then the estimate
+    |beta_k s_k| and converged means it is <= tol; value and iterations do
+    not change.  A refutation gains nothing from the replay: |theta| bounds
+    the norm only from below, and the explicit residual only places some
+    eigenvalue near theta (prove_norm_below bounds the norm from above).  So
+    certify_lower_bound and run_claim1_sweep pass replay=False; the norm
+    command keeps the default.  Dense mode and exact_norm ignore replay.
 
     A matrix-free norm runs all its BLAS and LAPACK calls, exact_norm's
     transform and every apply's two transforms included, inside
@@ -227,7 +225,7 @@ def spectral_norm(
             value = float(np.max(np.abs(np.linalg.eigvalsh(op.dense_matrix))))
         return NormEstimate(value=value, method="dense_eigen", residual=0.0, iterations=0, converged=True)
     with one_blas_thread():
-        return _lanczos_norm(op, tol, max_iter, seed, threshold)
+        return _lanczos_norm(op, tol, max_iter, seed, replay)
 
 
 def check_solver_limits(tol: float, max_iter: int) -> None:
@@ -239,8 +237,8 @@ def check_solver_limits(tol: float, max_iter: int) -> None:
 
 
 def _lanczos_norm(op: TruncatedFourierOperator, tol: float, max_iter: int, seed: int,
-                  threshold: float | None) -> NormEstimate:
-    """spectral_norm of a matrix-free operator, by exact_norm or the two Lanczos passes."""
+                  replay: bool) -> NormEstimate:
+    """spectral_norm of a matrix-free operator, by exact_norm or the Lanczos passes."""
     exact = exact_norm(op)
     if exact is not None:
         return NormEstimate(value=exact, method="lanczos", residual=0.0, iterations=0, converged=True)
@@ -258,11 +256,11 @@ def _lanczos_norm(op: TruncatedFourierOperator, tol: float, max_iter: int, seed:
             if k < max_iter and not _may_have_converged(alphas, betas, _MARGIN * tol):
                 continue
             theta, s = _extreme_ritz_pair(alphas, betas)
-            estimate = abs(beta * s[-1])
+            estimate = float(abs(beta * s[-1]))
             if estimate <= _MARGIN * tol or k == max_iter:
                 break
 
-    if threshold is not None and abs(theta) + tol >= threshold:
+    if not replay:
         return NormEstimate(value=abs(theta), method="lanczos", residual=estimate,
                             iterations=k, converged=estimate <= tol)
     y = np.zeros(op.size)

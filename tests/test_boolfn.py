@@ -142,6 +142,9 @@ def test_truth_table_rejects_malformed(tmp_path):
     p.write_text("n=3\n+++++++x\n")
     with pytest.raises(ValueError):
         read_truth_table(p)
+    p.write_text("n=3\n+++x+-+-\n")
+    with pytest.raises(ValueError, match=r"sign row may only contain '\+' and '-'$"):
+        read_truth_table(p)
     p.write_text("n=zz\n++\n")
     with pytest.raises(ValueError):
         read_truth_table(p)

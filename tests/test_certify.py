@@ -172,15 +172,38 @@ def test_stopping_truncation_runs_one_lanczos_pass(monkeypatch):
 def test_lanczos_refutation_below_dense_cap_stays_certified(n, monkeypatch):
     # T = 4 (B = 3214, 4048) is matrix-free; its refutation is proven by Cholesky
     calls = _count_norm_work(monkeypatch)
-    bound = certify_lower_bound(sample_uniform(n, 0), 0.1)
+    f = sample_uniform(n, 0)
+    bound = certify_lower_bound(f, 0.1)
     assert bound.lower_bound_t == 5
     refuted, last = bound.evidence[4], bound.evidence[5]
     assert refuted.method == "lanczos" and 4 < bound.lower_bound_t
     assert bound.status == "certified"
-    # the refuted T replays for the explicit residual (k + 1 more applies), the stopping T does not
+    # neither the refuted T nor the stopping T replays: k applies (two FWHTs each) per norm
     assert refuted.converged and refuted.residual <= 1e-8
     assert last.method == "lanczos" and len(bound.evidence) - 1 == bound.lower_bound_t
-    assert len(calls) == 2 * (2 * refuted.iterations + 1) + 2 * last.iterations
+    assert len(calls) == 2 * (refuted.iterations + last.iterations)
+    # the first pass gives the refuted T the value and steps of the default two passes
+    two = fourier_operator.spectral_norm(fourier_operator.build_matrix_free(f, 4))
+    assert (refuted.value, refuted.iterations) == (two.value, two.iterations)
+    assert two.converged and two.residual <= 1e-8
+
+
+@pytest.mark.parametrize("family, n, eps", [
+    ("constant_plus", 5, 0.1), ("or_fn", 4, 0.1), ("parity", 6, 0.1), ("parity", 9, 0.1),
+    ("random", 8, 0.1), ("random", 10, 0.15), ("random", 14, 0.1),
+])
+def test_certificate_runs_one_proof_at_the_largest_refuted_t(family, n, eps, monkeypatch):
+    # F_T' for T' < T is a principal submatrix of F_T, so one proof at T = lower_bound_t - 1
+    # covers every refuted T; a certificate that refutes nothing proves nothing
+    proofs = []
+    prove = certify.prove_norm_below
+    monkeypatch.setattr(certify, "prove_norm_below",
+                        lambda op, tau: proofs.append((op.t, tau)) or prove(op, tau))
+    f = sample_uniform(n, 3) if family == "random" else make_family(family, n)
+    bound = certify_lower_bound(f, eps)
+    expected = [] if bound.lower_bound_t == 0 else [(bound.lower_bound_t - 1, math.nextafter(0.5 - eps, 0.0))]
+    assert proofs == expected
+    assert bound.status == "certified"
 
 
 def test_refutation_past_dense_cap_is_empirical():

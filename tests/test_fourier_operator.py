@@ -205,21 +205,23 @@ def test_spectral_norm_default_replays_as_before():
         0.8578848603370929, 60, 3.1211602180907366e-09, True)
 
 
-def test_threshold_skips_only_the_replay():
+def test_one_pass_skips_only_the_replay():
     op = build_matrix_free(sample_uniform(12, 5), 4)
     full = spectral_norm(op)
-    # value + tol reaches the threshold, so no replay: the first-pass estimate stands in
-    short = spectral_norm(op, threshold=full.value)
+    # replay=False stops after the first pass: the estimate |beta_k s_k| stands in for the residual
+    short = spectral_norm(op, replay=False)
     assert (short.value, short.iterations, short.method) == (full.value, full.iterations, "lanczos")
     assert short.converged and short.residual <= 1e-8 / 2
     assert short.residual == pytest.approx(full.residual, rel=1e-4)
-    # a threshold the value could still fall below keeps the replay and its explicit residual
-    assert spectral_norm(op, threshold=full.value + 1e-6) == full
     # the dense and exactly-zero paths ignore it
     dense = build_dense(sample_uniform(8, 5), 3)
-    assert spectral_norm(dense, threshold=0.0) == spectral_norm(dense)
+    assert spectral_norm(dense, replay=False) == spectral_norm(dense)
     zero = build_matrix_free(make_family("parity", 6), 2)
-    assert spectral_norm(zero, threshold=1.0) == spectral_norm(zero)
+    assert spectral_norm(zero, replay=False) == spectral_norm(zero)
+    # every path reports Python scalars, not numpy ones
+    for est in (full, short, spectral_norm(dense), spectral_norm(zero)):
+        assert type(est.value) is float and type(est.residual) is float, est
+        assert type(est.converged) is bool, est
 
 
 def test_spectral_norm_rejects_bad_tol():
