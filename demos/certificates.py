@@ -21,9 +21,8 @@ def main():
             print(f"  T={t}: norm = {ev.value:.6f}  [{ev.method}, {tag}]")
         unit = "query" if cert.lower_bound_t == 1 else "queries"
         print(f"  => at least {cert.lower_bound_t} {unit} ({cert.status})")
-        e = cert.entropy
-        print(f"  dimension at stop: B = {e.b}, entropy ceiling "
-              f"2^{e.exponent:.2f} = {e.bound:.1f}")
+        print(f"  dimension at stop: B = {cert.b_stop}, entropy ceiling "
+              f"2^{cert.entropy_exponent:.2f} = {cert.entropy_bound:.1f}")
         print()
 
 

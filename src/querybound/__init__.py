@@ -9,7 +9,6 @@ desk-scale experiments.
 
 from .boolfn import (
     BooleanFunction,
-    FourierSpectrum,
     canonical_sign,
     derive_seeds,
     fourier,

@@ -22,6 +22,8 @@ FAMILIES = ("constant_plus", "parity", "or_fn", "majority")
 
 @dataclass(frozen=True, eq=False)
 class BooleanFunction:
+    """A sign table and, built on first use, its spectrum (see fourier)."""
+
     n: int
     signs: np.ndarray  # length 2^n, entries exactly +-1, read-only
 
@@ -39,26 +41,13 @@ class BooleanFunction:
         return BooleanFunction(self.n, -self.signs)
 
     @functools.cached_property
-    def _spectrum(self) -> "FourierSpectrum":
-        """Computed on first use by fourier(); the sign table never changes."""
+    def _spectrum(self) -> np.ndarray:
+        """fhat, read-only, computed on first use by fourier(); the sign table never changes."""
         buf = self.signs.copy()
         fwht_in_place(buf)
         buf /= float(1 << self.n)
-        return FourierSpectrum(self.n, buf)
-
-
-@dataclass(frozen=True, eq=False)
-class FourierSpectrum:
-    n: int
-    coeffs: np.ndarray  # length 2^n, coeffs[s] = fhat(s), read-only
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=np.float64)
-        if arr.ndim != 1 or arr.shape[0] != (1 << self.n):
-            raise ValueError(f"coefficient table must have length 2^{self.n}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
+        buf.flags.writeable = False
+        return buf
 
     @functools.cached_property
     def lowest_weight(self) -> int:
@@ -67,7 +56,7 @@ class FourierSpectrum:
         Exact for the spectrum of a +-1 table, whose transform sums integers
         and divides by a power of two.  F_T is exactly zero iff 2T < this.
         """
-        return int(np.bitwise_count(np.flatnonzero(self.coeffs)).min(initial=self.n + 1))
+        return int(np.bitwise_count(np.flatnonzero(fourier(self))).min(initial=self.n + 1))
 
 
 def check_family(name: str, n: int) -> None:
@@ -199,8 +188,11 @@ def _openblas_threads():
                                                   ("scipy_openblas", "64_"), ("scipy_openblas", ""))))
 
 
-def fourier(f: BooleanFunction) -> FourierSpectrum:
-    """The spectrum of f, transformed once per function and then reused."""
+def fourier(f: BooleanFunction) -> np.ndarray:
+    """The read-only float64 array of fhat(s), s = 0 .. 2^n - 1.
+
+    Transformed once per function: every call returns the same array.
+    """
     return f._spectrum
 
 
@@ -211,8 +203,8 @@ def canonical_sign(f: BooleanFunction) -> BooleanFunction:
 
 def write_truth_table(f: BooleanFunction, path: str | Path) -> None:
     """Two-line text format: "n=<int>" then 2^n characters from {+,-}."""
-    chars = "".join("+" if s > 0 else "-" for s in f.signs)
-    Path(path).write_text(f"n={f.n}\n{chars}\n")
+    row = np.where(f.signs > 0, ord("+"), ord("-")).astype(np.uint8).tobytes()
+    Path(path).write_bytes(b"n=%d\n%s\n" % (f.n, row))
 
 
 def read_truth_table(path: str | Path, *checks) -> BooleanFunction:

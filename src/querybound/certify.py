@@ -5,9 +5,11 @@ norm(F_T) >= 1/2 - eps, where F_T is the truncated Fourier operator.
 Contrapositive: whenever the measured norm sits strictly below the
 threshold (minus a numerical guard band), no such algorithm exists and
 T + 1 queries become a lower bound, certified by one proof at the largest
-refuted T, since each smaller F_T is a principal submatrix of it.  The
-seeded sweeps over random functions live here too: certificates
-(certify_random_sweep) and norm scaling (run_claim1_sweep).
+refuted T, since each smaller F_T is a principal submatrix of it.  A
+certificate also holds the size B of its stopping truncation and the
+entropy ceiling 2^(n H(T/n)) on it.  The seeded sweeps over random
+functions live here too: certificates (certify_random_sweep) and norm
+scaling (run_claim1_sweep).
 """
 
 from __future__ import annotations
@@ -39,22 +41,12 @@ from .interrogation import choose_t
 from .transforms import binary_entropy, binomial_sum, check_bits
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    """Size of the stopping truncation against the entropy ceiling 2^(n H(T/n)).
-
-    The ceiling dominates B only for T <= n/2; past the midpoint it is
-    reported for scale, not as a bound.
-    """
-
-    b: int
-    exponent: float  # n * H(t/n)
-    bound: float  # 2^exponent
-
-
 @dataclass(frozen=True, eq=False)
 class CertifiedBound:
-    """evidence[T] is the norm estimate of F_T; every T < lower_bound_t is refuted."""
+    """evidence[T] is the norm estimate of F_T; every T < lower_bound_t is refuted.
+
+    b_stop and the entropy fields describe the stopping T = lower_bound_t.
+    """
 
     f_descriptor: str  # a label, attached by the sweep and the CLI with replace
     n: int
@@ -62,7 +54,9 @@ class CertifiedBound:
     lower_bound_t: int
     evidence: tuple[NormEstimate, ...]
     status: str  # "certified" | "empirical"
-    entropy: EntropyReport  # of the stopping truncation T = lower_bound_t
+    b_stop: int  # B = binomial_sum(n, T)
+    entropy_exponent: float  # n * H(T/n)
+    entropy_bound: float  # 2^entropy_exponent; bounds b_stop only for T <= n/2
     seed: int | None = None  # the sign table's seed, set by certify_random_sweep
 
 
@@ -111,7 +105,6 @@ def certify_lower_bound(
     proven = refuted is None or prove_norm_below(refuted, math.nextafter(threshold, 0.0))
     status = "certified" if proven else "empirical"
     exponent = g.n * binary_entropy(t / g.n)
-    entropy = EntropyReport(b=binomial_sum(g.n, t), exponent=exponent, bound=2.0 ** exponent)
     return CertifiedBound(
         f_descriptor="",
         n=g.n,
@@ -119,7 +112,9 @@ def certify_lower_bound(
         lower_bound_t=t,
         evidence=tuple(evidence),
         status=status,
-        entropy=entropy,
+        b_stop=binomial_sum(g.n, t),
+        entropy_exponent=exponent,
+        entropy_bound=2.0 ** exponent,
     )
 
 

@@ -175,8 +175,8 @@ def _certificate_row(bound, trial, upper) -> dict:
         "kind": "certificate", "n": bound.n, "eps": bound.eps, "trial": trial,
         "function": bound.f_descriptor, "seed": bound.seed,
         "lower_bound_t": bound.lower_bound_t, "status": bound.status,
-        "upper_bound_t": upper, "b_stop": bound.entropy.b,
-        "entropy_exponent": bound.entropy.exponent, "entropy_bound": bound.entropy.bound,
+        "upper_bound_t": upper, "b_stop": bound.b_stop,
+        "entropy_exponent": bound.entropy_exponent, "entropy_bound": bound.entropy_bound,
         "norms": json.dumps([e.value for e in bound.evidence]),
     }
 

@@ -66,7 +66,7 @@ class TruncatedFourierOperator:
         if self.mode != "dense":
             return None
         dense = np.empty((self.size, self.size))
-        _gather_xor(fourier(self.f).coeffs, self.strings, dense)
+        _gather_xor(fourier(self.f), self.strings, dense)
         return dense
 
     @property
@@ -157,19 +157,18 @@ def _dense_is_cheaper(n: int, b: int) -> bool:
 def exact_norm(op: TruncatedFourierOperator) -> float | None:
     """||F_T|| when a fact of the spectrum fixes it exactly, else None.
 
-    0.0 when 2T lies below the spectrum's lowest_weight: every entry
-    fhat(s XOR t) is then zero, exactly, because the Walsh transform of a +-1
-    table is.  1.0 when B > min(N+, N-), where N+- = 2^(n-1) (1 +- fhat(0))
-    count the x with f(x) = +-1: F = H diag(f) H is a reflection with
-    eigenvalue +1 on a space of dimension N+ and -1 on one of dimension N-,
-    so the B-dimensional range of the truncation meets the +1 space when
-    B > N- (and the -1 space when B > N+), and F_T, a compression of F, has
-    norm at most 1.  fhat(0) = sum(f) / 2^n is exact, and so is N+.
+    0.0 when 2T lies below f.lowest_weight: every entry fhat(s XOR t) is
+    then zero, exactly, because the Walsh transform of a +-1 table is.  1.0
+    when B > min(N+, N-), where N+- = 2^(n-1) (1 +- fhat(0)) count the x
+    with f(x) = +-1: F = H diag(f) H is a reflection with eigenvalue +1 on
+    a space of dimension N+ and -1 on one of dimension N-, so the
+    B-dimensional range of the truncation meets the +1 space when B > N-
+    (and the -1 space when B > N+), and F_T, a compression of F, has norm
+    at most 1.  fhat(0) = sum(f) / 2^n is exact, and so is N+.
     """
-    spectrum = fourier(op.f)
-    if 2 * op.t < spectrum.lowest_weight:
+    if 2 * op.t < op.f.lowest_weight:
         return 0.0
-    n_plus = int(spectrum.coeffs[0] * (1 << op.f.n) + (1 << op.f.n)) // 2
+    n_plus = int(fourier(op.f)[0] * (1 << op.f.n) + (1 << op.f.n)) // 2
     if op.size > min(n_plus, (1 << op.f.n) - n_plus):
         return 1.0
     return None
@@ -359,7 +358,7 @@ def prove_norm_below(op: TruncatedFourierOperator, tau: float) -> bool:
     b = op.size
     if b > DENSE_LIMIT:
         return False
-    coeffs = fourier(op.f).coeffs
+    coeffs = fourier(op.f)
     gamma = Fraction(b + 1, (1 << 53) - (b + 1))
     buf = np.empty((b, b))
     for sign in (1, -1):

@@ -80,11 +80,11 @@ def test_derive_seeds_deterministic_and_distinct():
 
 
 def test_fourier_pinned_spectra():
-    coeffs = fourier(make_family("parity", 3)).coeffs
+    coeffs = fourier(make_family("parity", 3))
     assert coeffs[7] == 1.0 and np.all(coeffs[:7] == 0.0)
-    coeffs = fourier(make_family("constant_plus", 4)).coeffs
+    coeffs = fourier(make_family("constant_plus", 4))
     assert coeffs[0] == 1.0 and np.all(coeffs[1:] == 0.0)
-    coeffs = fourier(make_family("or_fn", 2)).coeffs
+    coeffs = fourier(make_family("or_fn", 2))
     assert coeffs.tolist() == [-0.5, 0.5, 0.5, 0.5]
 
 
@@ -92,21 +92,33 @@ def test_fourier_pinned_spectra():
 def test_fourier_parseval(n):
     for trial in range(8):
         f = sample_uniform(n, 1000 * n + trial)
-        coeffs = fourier(f).coeffs
+        coeffs = fourier(f)
         assert abs(float(coeffs @ coeffs) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 6, 12])
 def test_fourier_inverts(n):
     f = sample_uniform(n, n)
-    back = fwht_in_place(fourier(f).coeffs.copy())
+    back = fwht_in_place(fourier(f).copy())
     assert np.max(np.abs(back - f.signs)) < 1e-10
+
+
+def test_spectrum_is_one_read_only_array_per_function():
+    for f in (sample_uniform(6, 3), make_family("parity", 5), make_family("constant_plus", 4),
+              make_family("or_fn", 3)):
+        coeffs = fourier(f)
+        assert fourier(f) is coeffs
+        assert coeffs.dtype == np.float64 and not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[0] = 0.0
+        weights = [bin(s).count("1") for s in range(1 << f.n) if coeffs[s] != 0.0]
+        assert f.lowest_weight == min(weights, default=f.n + 1)
 
 
 def test_fourier_empty_character():
     for n in (3, 7):
         f = sample_uniform(n, 7 * n)
-        assert fourier(f).coeffs[0] == f.signs.sum() / (1 << n)
+        assert fourier(f)[0] == f.signs.sum() / (1 << n)
 
 
 def test_canonical_sign():
@@ -129,6 +141,8 @@ def test_truth_table_roundtrip(tmp_path):
     g = read_truth_table(path)
     assert g.n == 5
     assert np.array_equal(g.signs, f.signs)
+    write_truth_table(make_family("or_fn", 2), path)
+    assert path.read_bytes() == b"n=2\n+---\n"
 
 
 def test_truth_table_rejects_malformed(tmp_path):

@@ -72,11 +72,10 @@ def test_soundness_against_upper_bound():
 
 def test_entropy_report_consistent():
     bound = certify_lower_bound(make_family("parity", 6), 0.1)
-    rep = bound.entropy
     assert bound.lower_bound_t == 3
-    assert rep.b == 42
-    assert rep.exponent == pytest.approx(6.0, abs=1e-12)
-    assert rep.b <= rep.bound + 1e-9
+    assert bound.b_stop == 42
+    assert bound.entropy_exponent == pytest.approx(6.0, abs=1e-12)
+    assert bound.b_stop <= bound.entropy_bound + 1e-9
 
 
 def test_rejects_eps_out_of_range():

@@ -12,7 +12,6 @@ from querybound.boolfn import (
     FAMILIES,
     BooleanFunction,
     derive_seeds,
-    fourier,
     make_family,
     sample_uniform,
 )
@@ -379,7 +378,7 @@ def test_dense_norms_are_nondecreasing_in_t(f):
 def test_lowest_weight_decides_exactly_which_truncations_are_zero(f, data):
     t = data.draw(st.integers(0, f.n))
     is_zero = not np.any(build_dense(f, t).dense_matrix)
-    assert (2 * t < fourier(f).lowest_weight) == is_zero
+    assert (2 * t < f.lowest_weight) == is_zero
 
 
 @settings(max_examples=200, deadline=None)
@@ -496,7 +495,7 @@ def test_exact_norm_agrees_with_eigvalsh(f, data):
     exact = exact_norm(op)
     norm = float(np.max(np.abs(np.linalg.eigvalsh(op.dense_matrix))))
     n_plus = int(np.sum(f.signs > 0))
-    if 2 * t < fourier(f).lowest_weight:
+    if 2 * t < f.lowest_weight:
         assert exact == 0.0 == norm
     elif op.size > min(n_plus, (1 << f.n) - n_plus):
         assert exact == 1.0 and abs(norm - 1.0) <= 1e-12
