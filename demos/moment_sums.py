@@ -33,10 +33,10 @@ def main():
         res = claim2_bruteforce(3, 1, parts)
         print(f"  m=4, T=1, {label}: {res.total} <= {res.bound}")
 
-    rep = evenness_check(3, 4, trials=8, seed=1)
-    verdict = "all matched" if rep.all_ok else "MISMATCH"
+    entries = evenness_check(3, 4, trials=8, seed=1)
+    verdict = "all matched" if all(e.ok for e in entries) else "MISMATCH"
     print(f"\nevenness spot check, m=4 tuples over 3-bit points: {verdict}")
-    for e in rep.entries[:4]:
+    for e in entries[:4]:
         kind = "even multiplicities" if e.even else "some odd multiplicity"
         print(f"  {e.xs}: E[product] = {e.mean:g}  ({kind})")
 

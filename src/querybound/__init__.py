@@ -29,16 +29,13 @@ from .fourier_operator import (
     spectral_norm,
 )
 from .interrogation import (
-    InterrogationOutcome,
     asymptotic_reference_t,
     choose_t,
     simulate_exact,
     simulate_sampled,
-    success_probability_closed_form,
 )
 from .moments import (
     Claim2Result,
-    EvennessReport,
     MomentReport,
     PartitionSpec,
     claim2_bruteforce,

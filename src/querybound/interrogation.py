@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,23 +26,6 @@ from .transforms import ball_transform, binomial_sum, check_truncation
 
 # Draws per generator call.
 _BLOCK = 1 << 20
-
-
-@dataclass(frozen=True, eq=False)
-class InterrogationOutcome:
-    n: int
-    t: int
-    target: int  # the hidden input x, as an integer
-    success_probability: float  # B / 2^n, the squared amplitude of |x>, correctly rounded
-    shots: int = 0
-    sampled_counts: dict[int, int] | None = field(default=None)
-
-    @property
-    def recovered_frequency(self) -> float:
-        if not self.shots:
-            raise ValueError("no sampling was performed")
-        assert self.sampled_counts is not None
-        return self.sampled_counts.get(self.target, 0) / self.shots
 
 
 def _check_args(n: int, t: int, x: int) -> None:
@@ -76,15 +58,17 @@ def _within_row_cdf(rows: np.ndarray) -> np.ndarray:
     return np.cumsum(np.square(rows), axis=1)
 
 
-def simulate_exact(n: int, t: int, x: int) -> InterrogationOutcome:
-    """The probability of measuring x: its amplitude is K[0] / sqrt(B 2^n) = sqrt(B / 2^n), so B / 2^n."""
+def simulate_exact(n: int, t: int, x: int) -> float:
+    """The probability of measuring x, a float: B / 2^n, correctly rounded from exact integers.
+
+    x's amplitude is K[0] / sqrt(B 2^n) = sqrt(B / 2^n) for every x.
+    """
     _check_args(n, t, x)
-    prob = success_probability_closed_form(n, t)
-    return InterrogationOutcome(n=n, t=t, target=x, success_probability=prob)
+    return binomial_sum(n, t) / (1 << n)
 
 
-def simulate_sampled(n: int, t: int, x: int, shots: int, seed: int) -> InterrogationOutcome:
-    """Exact final distribution plus a finite-shot measurement record.
+def simulate_sampled(n: int, t: int, x: int, shots: int, seed: int) -> dict[int, int]:
+    """A finite-shot measurement record of the exact final distribution: {string: count}, in string order.
 
     Each shot draws r in [0, 1) and takes the first string whose cumulative
     mass S^2 exceeds U = floor(r X), X = B 2^n.  As r <= 1 - 2^-53, the
@@ -118,19 +102,7 @@ def simulate_sampled(n: int, t: int, x: int, shots: int, seed: int) -> Interroga
             z[at] |= np.searchsorted(within[d], u[at], side="right")
         hit, counts = np.unique(z, return_counts=True)
         sampled.update(dict(zip(hit.tolist(), counts.tolist())))
-    return InterrogationOutcome(
-        n=n,
-        t=t,
-        target=x,
-        success_probability=success_probability_closed_form(n, t),
-        shots=shots,
-        sampled_counts=dict(sorted(sampled.items())),
-    )
-
-
-def success_probability_closed_form(n: int, t: int) -> float:
-    """B / 2^n, independent of the hidden input, correctly rounded from exact integers."""
-    return binomial_sum(n, t) / (1 << n)
+    return dict(sorted(sampled.items()))
 
 
 def choose_t(n: int, eps: float) -> int:

@@ -295,16 +295,8 @@ class EvennessEntry:
     ok: bool
 
 
-@dataclass(frozen=True)
-class EvennessReport:
-    n: int
-    m: int
-    entries: tuple[EvennessEntry, ...]
-    all_ok: bool
-
-
-def evenness_check(n: int, m: int, trials: int, seed: int) -> EvennessReport:
-    """Sampled x-tuples versus the exact all-functions product expectation.
+def evenness_check(n: int, m: int, trials: int, seed: int) -> tuple[EvennessEntry, ...]:
+    """Sampled x-tuples versus the exact all-functions product expectation, one EvennessEntry each.
 
     Alternates tuples that are even by construction (each value paired up)
     with fully random ones, and verifies the enumerated mean is exactly 1
@@ -327,4 +319,4 @@ def evenness_check(n: int, m: int, trials: int, seed: int) -> EvennessReport:
         mean = expected_sign_product(n, xs)
         expected = 1.0 if even else 0.0
         entries.append(EvennessEntry(xs=xs, even=even, mean=mean, ok=mean == expected))
-    return EvennessReport(n=n, m=m, entries=tuple(entries), all_ok=all(e.ok for e in entries))
+    return tuple(entries)

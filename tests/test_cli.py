@@ -10,10 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import querybound
 from querybound.boolfn import derive_seeds, make_family, sample_uniform, write_truth_table
 from querybound import boolfn, certify, cli, fourier_operator
 from querybound.cli import main, run_claim1_sweep
 from querybound.fourier_operator import build_dense
+from querybound.interrogation import simulate_exact, simulate_sampled
+from querybound.moments import EvennessEntry, evenness_check
+from querybound.transforms import binomial_sum, parse_bitstring
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "docs" / "golden"
 GOLDEN_CASES = json.loads((GOLDEN_DIR / "cases.json").read_text())
@@ -63,6 +67,29 @@ def test_vandam_sampled_deterministic(tmp_path):
     assert a == b
     row = parse_csv(a)[0]
     assert int(row["recovered_count"]) <= 400
+
+
+def test_simulations_and_evenness_return_bare_values(tmp_path):
+    for n, t, x in ((4, 2, 0b0101), (12, 7, 1234), (24, 15, 0xA5C3E1)):
+        p = simulate_exact(n, t, x)
+        assert type(p) is float and p == binomial_sum(n, t) / 2**n
+    counts = simulate_sampled(8, 3, 0b10110001, shots=777, seed=5)
+    assert type(counts) is dict and all(type(k) is int for k in counts)
+    assert list(counts) == sorted(counts) and sum(counts.values()) == 777
+    entries = evenness_check(3, 4, trials=6, seed=2)
+    assert type(entries) is tuple and all(type(e) is EvennessEntry for e in entries)
+    for name in ("InterrogationOutcome", "EvennessReport", "success_probability_closed_form"):
+        assert not hasattr(querybound, name), name
+
+    n, x, shots, seed = 10, "0110100111", 300, 8
+    code, text = run_cli(tmp_path, ["vandam", "--n", str(n), "--eps", "0.25", "--x", x,
+                                    "--shots", str(shots), "--seed", str(seed), "--format", "json"])
+    assert code == 0
+    row, target = json.loads(text)["rows"][0], parse_bitstring(x)
+    hits = simulate_sampled(n, row["t"], target, shots, seed).get(target, 0)
+    assert row["recovered_count"] == hits
+    assert row["recovered_frequency"] == hits / shots
+    assert row["success_probability"] == simulate_exact(n, row["t"], target)
 
 
 def test_vandam_requires_t_or_eps(tmp_path, capsys):

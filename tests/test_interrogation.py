@@ -10,7 +10,6 @@ from querybound.interrogation import (
     choose_t,
     simulate_exact,
     simulate_sampled,
-    success_probability_closed_form,
     _distance_rows,
     _within_row_cdf,
 )
@@ -25,41 +24,40 @@ def _final_state(n, t, x):
 
 
 def test_pinned_probabilities():
-    assert simulate_exact(4, 2, 0b0101).success_probability == pytest.approx(11 / 16, abs=1e-12)
-    assert success_probability_closed_form(4, 2) == 11 / 16
-    assert simulate_exact(6, 3, 9).success_probability == pytest.approx(42 / 64, abs=1e-12)
-    assert success_probability_closed_form(6, 3) == 42 / 64
+    assert simulate_exact(4, 2, 0b0101) == pytest.approx(11 / 16, abs=1e-12)
+    assert binomial_sum(4, 2) / (1 << 4) == 11 / 16
+    assert simulate_exact(6, 3, 9) == pytest.approx(42 / 64, abs=1e-12)
+    assert binomial_sum(6, 3) / (1 << 6) == 42 / 64
 
 
 def test_full_support_recovers_exactly():
     for x in (0, 7, 11):
-        assert simulate_exact(4, 4, x).success_probability == pytest.approx(1.0, abs=1e-12)
+        assert simulate_exact(4, 4, x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_queries_is_uniform():
     for x in (0, 5, 15):
-        assert simulate_exact(4, 0, x).success_probability == pytest.approx(1 / 16, abs=1e-12)
+        assert simulate_exact(4, 0, x) == pytest.approx(1 / 16, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_matches_closed_form_and_ignores_target(n):
     rng = np.random.default_rng(n)
     for t in range(n + 1):
-        expect = success_probability_closed_form(n, t)
+        expect = binomial_sum(n, t) / (1 << n)
         xs = rng.integers(0, 1 << n, size=8)
-        probs = [simulate_exact(n, t, int(x)).success_probability for x in xs]
+        probs = [simulate_exact(n, t, int(x)) for x in xs]
         assert max(abs(p - expect) for p in probs) < 1e-10
         assert max(probs) - min(probs) <= 1e-10
 
 
 @pytest.mark.parametrize("n", range(1, 25))
 def test_success_probability_within_two_ulp_of_closed_form(n):
-    # not merely within 2 ulp: B / 2^n correctly rounded, for every T and both simulations
+    # not merely within 2 ulp: B / 2^n correctly rounded, for every T and x
     for t in range(n + 1):
         expect = binomial_sum(n, t) / (1 << n)
         for x in {0, (1 << n) - 1, 0x2AAAAA % (1 << n)}:
-            assert simulate_exact(n, t, x).success_probability == expect, (t, x)
-        assert simulate_sampled(n, t, 0, 1, seed=t).success_probability == expect, t
+            assert simulate_exact(n, t, x) == expect, (t, x)
 
 
 def test_final_state_stays_normalized():
@@ -77,7 +75,7 @@ def test_simulate_exact_builds_no_table(monkeypatch):
     monkeypatch.setattr(interrogation, "_distance_rows", no_table)
     for n, t in ((4, 2), (24, 15), (24, 0)):
         b = binomial_sum(n, t)
-        assert simulate_exact(n, t, (1 << n) - 1).success_probability == b / (1 << n)
+        assert simulate_exact(n, t, (1 << n) - 1) == b / (1 << n)
     # the range checks stay, with the messages the table's builder gave
     for args, message in (((4, 5, 0), "need 0 <= t <= n"), ((4, 2, 16), "does not fit"),
                           ((27, 2, 0), "n must lie in 1..26, got 27"), ((4, -1, 0), "need 0 <= t <= n")):
@@ -136,20 +134,19 @@ def test_choose_t_rejects_bad_eps():
 def test_sampled_deterministic_and_complete():
     a = simulate_sampled(6, 3, 11, shots=500, seed=42)
     b = simulate_sampled(6, 3, 11, shots=500, seed=42)
-    assert a.sampled_counts == b.sampled_counts
-    assert sum(a.sampled_counts.values()) == 500
-    assert a.recovered_frequency == a.sampled_counts[11] / 500
+    assert a == b
+    assert sum(a.values()) == 500
 
 
 def test_sampled_full_support_is_deterministic():
     out = simulate_sampled(5, 5, 19, shots=1, seed=3)
-    assert out.sampled_counts == {19: 1}
+    assert out == {19: 1}
 
 
 def test_sampled_frequency_near_exact():
     out = simulate_sampled(4, 2, 9, shots=100_000, seed=7)
     # binomial 3 sigma at p = 11/16 is about 0.0044
-    assert abs(out.recovered_frequency - 11 / 16) < 0.005
+    assert abs(out.get(9, 0) / 100_000 - 11 / 16) < 0.005
 
 
 def test_sampled_rejects_zero_shots():
@@ -186,14 +183,14 @@ def test_final_state_equals_index_scatter(n):
 ])
 def test_sampled_counts_pinned(n, t, x, shots, seed, recovered, distinct):
     # the draws read only the integer masses, never the reported probability
-    counts = simulate_sampled(n, t, x, shots, seed).sampled_counts
+    counts = simulate_sampled(n, t, x, shots, seed)
     assert (counts.get(x, 0), len(counts), sum(counts.values())) == (recovered, distinct, shots)
 
 
 def test_sampled_all_mass_on_target_lands_on_target():
     for seed in range(5):
         out = simulate_sampled(8, 8, 0b10110001, shots=10_000, seed=seed)
-        assert out.sampled_counts == {0b10110001: 10_000}
+        assert out == {0b10110001: 10_000}
 
 
 class _ExtremeDraws:
@@ -212,18 +209,18 @@ def test_sampled_skips_zero_amplitude_strings(x, zero, first, last, monkeypatch)
     state = _final_state(3, 1, x)
     assert set(np.flatnonzero(state == 0.0)) == zero
     for seed in range(3):
-        counts = simulate_sampled(3, 1, x, shots=100_000, seed=seed).sampled_counts
+        counts = simulate_sampled(3, 1, x, shots=100_000, seed=seed)
         assert not zero & counts.keys() and sum(counts.values()) == 100_000
     # the extreme draws land on the first and last strings of nonzero probability
     monkeypatch.setattr(np.random, "Generator", _ExtremeDraws)
-    assert simulate_sampled(3, 1, x, shots=4, seed=0).sampled_counts == {first: 2, last: 2}
+    assert simulate_sampled(3, 1, x, shots=4, seed=0) == {first: 2, last: 2}
 
 
 def test_extreme_draws_stay_in_range_at_the_bit_cap(monkeypatch):
     # B 2^n < 2^53 at n = 26, so even r = 1 - 2^-53 gives U below B 2^n: the
     # draws land on the first and last strings, both of nonzero mass at x = 0
     monkeypatch.setattr(np.random, "Generator", _ExtremeDraws)
-    assert simulate_sampled(26, 13, 0, shots=4, seed=0).sampled_counts == {0: 2, (1 << 26) - 1: 2}
+    assert simulate_sampled(26, 13, 0, shots=4, seed=0) == {0: 2, (1 << 26) - 1: 2}
 
 
 def test_sampled_in_blocks_equals_one_inverse_cdf_pass():
@@ -234,7 +231,7 @@ def test_sampled_in_blocks_equals_one_inverse_cdf_pass():
     draws = np.searchsorted(cdf, rng.random(shots) * cdf[-1], side="right")
     hit, counts = np.unique(draws, return_counts=True)
     out = simulate_sampled(n, t, x, shots=shots, seed=seed)
-    assert list(out.sampled_counts.items()) == list(zip(hit.tolist(), counts.tolist()))
+    assert list(out.items()) == list(zip(hit.tolist(), counts.tolist()))
 
 
 def test_sampled_distance_classes_match_exact_distribution():
@@ -242,7 +239,7 @@ def test_sampled_distance_classes_match_exact_distribution():
     n, t, x, shots = 6, 3, 0b101101, 200_000
     distance = np.bitwise_count(np.arange(1 << n) ^ x)
     expected = shots * np.bincount(distance, weights=_final_state(n, t, x) ** 2)
-    counts = simulate_sampled(n, t, x, shots=shots, seed=12).sampled_counts
+    counts = simulate_sampled(n, t, x, shots=shots, seed=12)
     observed = np.bincount(distance[list(counts)], weights=list(counts.values()), minlength=n + 1)
     assert observed.sum() == shots and expected.min() > 100
     chi2 = float(((observed - expected) ** 2 / expected).sum())
@@ -285,10 +282,10 @@ def test_sampled_equals_exact_integer_flat_inverse_cdf(n):
         for x in {0, (1 << n) - 1, 0x2D6B % (1 << n)}:
             for shots in (1, 1000):
                 seed = 31 * n + 7 * t + x % 5 + shots
-                got = simulate_sampled(n, t, x, shots, seed).sampled_counts
+                got = simulate_sampled(n, t, x, shots, seed)
                 assert got == _flat_inverse_cdf_counts(n, t, x, shots, seed), (t, x, shots)
     t, x, shots, seed = n // 2, 0x1B3 % (1 << n), (1 << 20) + 3, n
-    got = simulate_sampled(n, t, x, shots, seed).sampled_counts
+    got = simulate_sampled(n, t, x, shots, seed)
     assert got == _flat_inverse_cdf_counts(n, t, x, shots, seed)
 
 
@@ -331,5 +328,5 @@ def test_sampled_n24_boundary_draw_follows_exact_masses():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(out.sampled_counts) == 85647 and out.sampled_counts[12345] == 609169
+    assert len(out) == 85647 and out[12345] == 609169
     assert peak <= 40 << 20, peak / 2**20

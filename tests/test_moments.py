@@ -282,19 +282,19 @@ def test_expected_sign_product_rejects_bad_points():
 
 
 def test_evenness_check_report():
-    rep = evenness_check(3, 4, trials=10, seed=2)
-    assert rep.all_ok
-    assert len(rep.entries) == 10
-    assert any(e.even for e in rep.entries)
-    assert any(not e.even for e in rep.entries)
-    for e in rep.entries:
+    entries = evenness_check(3, 4, trials=10, seed=2)
+    assert all(e.ok for e in entries)
+    assert len(entries) == 10
+    assert any(e.even for e in entries)
+    assert any(not e.even for e in entries)
+    for e in entries:
         assert e.mean == (1.0 if e.even else 0.0)
 
 
 def test_evenness_check_odd_m_never_even():
-    rep = evenness_check(3, 3, trials=8, seed=1)
-    assert rep.all_ok
-    assert all(not e.even and e.mean == 0.0 for e in rep.entries)
+    entries = evenness_check(3, 3, trials=8, seed=1)
+    assert all(e.ok for e in entries)
+    assert all(not e.even and e.mean == 0.0 for e in entries)
 
 
 def test_evenness_check_rejects_bad_args():
